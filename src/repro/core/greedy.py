@@ -35,6 +35,7 @@ class GreedyOperatorOrdering(JoinOrderer):
 
         while len(forest) > 1:
             best_pair: tuple[int, int] | None = None
+            first_pair: tuple[int, int] | None = None
             best_cardinality = float("inf")
             for i in range(len(forest)):
                 for j in range(i + 1, len(forest)):
@@ -43,15 +44,21 @@ class GreedyOperatorOrdering(JoinOrderer):
                         forest[i].relations, forest[j].relations
                     ):
                         continue
+                    if first_pair is None:
+                        first_pair = (i, j)
                     cardinality = estimator.join_cardinality(forest[i], forest[j])
                     if cardinality < best_cardinality:
                         best_cardinality = cardinality
                         best_pair = (i, j)
-            if best_pair is None:
+            # On large queries every estimate can overflow to inf, and
+            # none compares below the initial inf; any connected pair
+            # still keeps the plan cross-product-free.
+            pair = best_pair or first_pair
+            if pair is None:
                 # Unreachable for connected graphs (optimize() checks),
                 # kept as a defensive invariant.
                 raise AssertionError("greedy forest became disconnected")
-            i, j = best_pair
+            i, j = pair
             left, right = forest[i], forest[j]
             counters.create_join_tree_calls += 2
             joined = min(

@@ -105,7 +105,8 @@ class LinDP(JoinOrderer):
         table: PlanTable,
         counters: CounterSet,
     ) -> None:
-        orderings = self._linearizations(graph, cost_model, counters)
+        goo = GreedyOperatorOrdering().optimize(graph, cost_model=cost_model).plan
+        orderings = self._linearizations(graph, cost_model, goo, counters)
         counters.extra["lindp_orderings"] = len(orderings)
         separable = (
             cost_model.symmetric
@@ -123,9 +124,10 @@ class LinDP(JoinOrderer):
                 )
             if plan is not None and (best is None or plan.cost < best.cost):
                 best = plan
-        # The GOO linearization always yields a feasible full interval.
-        assert best is not None
-        table.register(best)
+        # The separable sweep skips intervals whose cost overflowed to
+        # inf, so on large queries no full interval may survive; GOO's
+        # plan is then still valid and cross-product-free.
+        table.register(goo if best is None else best)
 
     # ------------------------------------------------------------------
     # Linearization candidates
@@ -135,11 +137,11 @@ class LinDP(JoinOrderer):
         self,
         graph: QueryGraph,
         cost_model: CostModel,
+        goo: JoinTree,
         counters: CounterSet,
     ) -> list[list[int]]:
         """Candidate orderings: GOO's leaf order, plus IKKBZ or BFS."""
-        goo = GreedyOperatorOrdering().optimize(graph, cost_model=cost_model)
-        orderings = [leaf_order(goo.plan)]
+        orderings = [leaf_order(goo)]
         estimator = cost_model.estimator
         n = graph.n_relations
         if is_tree(graph):

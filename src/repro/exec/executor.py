@@ -7,7 +7,15 @@ bushy shapes compose without column renaming. Each join node evaluates
 the equi-join keys of the edges crossing its two sides with the
 physical operator the plan asks for — hash join (the default), nested
 loops, or sort-merge — falling back to a nested cross product when no
-edge crosses (DPall plans).
+edge crosses (DPall plans). For inputs L and R, the operators do this
+work:
+
+* ``NestedLoopJoin`` compares all |L|·|R| pairs, L as the outer, and
+  computes each row's key once.
+* ``HashJoin`` builds a hash table on the smaller input and probes it
+  with the other.
+* ``SortMergeJoin`` sorts both inputs on the key, then merges
+  equal-key groups.
 
 The point is validation, not speed: the returned
 :class:`ExecutionReport` lists, per join, the optimizer's estimated
@@ -216,8 +224,29 @@ def _join(
     return _hash_join(keys, left_tuples, right_tuples), "HashJoin"
 
 
-def _key_of(item: Tuple, extract: list[tuple[int, str]]) -> tuple[int, ...]:
-    return tuple(item[rel][column] for rel, column in extract)
+def _key_getters(keys: list[_Key]):
+    """``(left, right)`` key getters for a join's inputs, from ``keys``.
+
+    A getter maps a tuple in flight to its join key: the bare value for
+    a single-column key, a tuple of values in edge order for a
+    conjunctive one. Both read the crossing edges in the same order, so
+    a left and a right key are equal exactly when every edge's columns
+    match. The return stays unannotated because a union of the two key
+    shapes would not type-check the sort-merge comparisons; both inputs
+    of one join always share a shape.
+    """
+    return (
+        _key_getter([(rel, column) for rel, column, _o, _c in keys]),
+        _key_getter([(other, column) for _r, _c, other, column in keys]),
+    )
+
+
+def _key_getter(extract: list[tuple[int, str]]):
+    """Read ``extract``'s columns: a scalar for one, a tuple for several."""
+    if len(extract) == 1:
+        ((rel, column),) = extract
+        return lambda item: item[rel][column]
+    return lambda item: tuple([item[rel][column] for rel, column in extract])
 
 
 def _hash_join(
@@ -227,19 +256,17 @@ def _hash_join(
 ) -> list[Tuple]:
     """Build a hash table on the smaller input, probe with the other."""
     build_side, probe_side = left_tuples, right_tuples
-    build_extract = [(rel, column) for rel, column, _o, _c in keys]
-    probe_extract = [(other, column) for _r, _c, other, column in keys]
-    swapped = len(build_side) > len(probe_side)
-    if swapped:
+    build_key_of, probe_key_of = _key_getters(keys)
+    if len(build_side) > len(probe_side):
         build_side, probe_side = probe_side, build_side
-        build_extract, probe_extract = probe_extract, build_extract
+        build_key_of, probe_key_of = probe_key_of, build_key_of
 
-    table: dict[tuple[int, ...], list[Tuple]] = {}
+    table: dict[object, list[Tuple]] = {}
     for item in build_side:
-        table.setdefault(_key_of(item, build_extract), []).append(item)
+        table.setdefault(build_key_of(item), []).append(item)
     joined: list[Tuple] = []
     for item in probe_side:
-        for match in table.get(_key_of(item, probe_extract), ()):
+        for match in table.get(probe_key_of(item), ()):
             joined.append({**match, **item})
     return joined
 
@@ -249,15 +276,19 @@ def _nested_loop_join(
     left_tuples: list[Tuple],
     right_tuples: list[Tuple],
 ) -> list[Tuple]:
-    """Naive nested loops, the left input as the outer."""
-    left_extract = [(rel, column) for rel, column, _o, _c in keys]
-    right_extract = [(other, column) for _r, _c, other, column in keys]
+    """Compare every (outer, inner) pair, the left input as the outer.
+
+    Each row's key is read once: the inner keys before the outer loop,
+    each outer key as its row comes up.
+    """
+    left_key_of, right_key_of = _key_getters(keys)
+    inner = [(right_key_of(item), item) for item in right_tuples]
     joined: list[Tuple] = []
     for outer in left_tuples:
-        outer_key = _key_of(outer, left_extract)
-        for inner in right_tuples:
-            if _key_of(inner, right_extract) == outer_key:
-                joined.append({**outer, **inner})
+        outer_key = left_key_of(outer)
+        for inner_key, item in inner:
+            if inner_key == outer_key:
+                joined.append({**outer, **item})
     return joined
 
 
@@ -266,15 +297,14 @@ def _sort_merge_join(
     left_tuples: list[Tuple],
     right_tuples: list[Tuple],
 ) -> list[Tuple]:
-    """Sort both inputs on the key tuple, then merge equal-key groups."""
-    left_extract = [(rel, column) for rel, column, _o, _c in keys]
-    right_extract = [(other, column) for _r, _c, other, column in keys]
+    """Sort both inputs on the join key, then merge equal-key groups."""
+    left_key_of, right_key_of = _key_getters(keys)
     left_sorted = sorted(
-        ((_key_of(item, left_extract), item) for item in left_tuples),
+        ((left_key_of(item), item) for item in left_tuples),
         key=lambda pair: pair[0],
     )
     right_sorted = sorted(
-        ((_key_of(item, right_extract), item) for item in right_tuples),
+        ((right_key_of(item), item) for item in right_tuples),
         key=lambda pair: pair[0],
     )
     joined: list[Tuple] = []
