@@ -14,8 +14,6 @@ Artifacts:
   fig8-11  — relative optimization time (DPsize, DPsub / DPccp) over a
              size sweep per topology
   fig12    — absolute runtimes for n in {5, 10, 15, 20}
-  parallel — sequential vs multi-core wall times on cliques
-             (writes BENCH_parallel.json at the repo root)
 
 Cells whose predicted inner-counter work exceeds the budget are shown
 as '-' (the paper's own C++ numbers reach 21294 s there; see
@@ -44,7 +42,6 @@ from repro.bench.workloads import DEFAULT_BUDGET
 
 ALL_ARTIFACTS = (
     "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "quality", "model",
-    "parallel",
 )
 
 
@@ -93,20 +90,6 @@ def run_model(budget: int, min_seconds: float) -> str:
     return render_fits(counter_time_fit(min_total_seconds=min_seconds))
 
 
-def run_parallel(budget: int, min_seconds: float) -> str:
-    del budget, min_seconds
-    from repro.bench.parallel_bench import (
-        render_parallel_bench,
-        run_parallel_scaling,
-        write_parallel_bench,
-    )
-
-    results = run_parallel_scaling()
-    root = Path(__file__).resolve().parent.parent
-    path = write_parallel_bench(root / "BENCH_parallel.json", results)
-    return render_parallel_bench(results) + f"\n\nmachine-readable: {path}"
-
-
 def produce(artifact: str, budget: int, min_seconds: float) -> str:
     if artifact == "fig3":
         return run_fig3(budget, min_seconds)
@@ -116,8 +99,6 @@ def produce(artifact: str, budget: int, min_seconds: float) -> str:
         return run_quality(budget, min_seconds)
     if artifact == "model":
         return run_model(budget, min_seconds)
-    if artifact == "parallel":
-        return run_parallel(budget, min_seconds)
     return run_relative(int(artifact[3:]), budget, min_seconds)
 
 
@@ -181,7 +162,6 @@ on which topology, and the growth separations. See the per-figure notes.
 """
     order = [
         "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "quality", "model",
-        "parallel",
     ]
     notes = {
         "fig3": (
@@ -246,16 +226,6 @@ on which topology, and the growth separations. See the per-figure notes.
             "pure Python, DPccp pays ~10x DPsize's per-iteration cost), "
             "which is what shifts the small-n crossovers relative to the "
             "paper's C++."
-        ),
-        "parallel": (
-            "Extension beyond the paper: wall-clock scaling of the "
-            "level-synchronous parallel DPsize (repro.parallel) against "
-            "the sequential enumerator on cliques, at 2 and 4 worker "
-            "processes. Results are verified cost- and counter-identical "
-            "to the sequential run before a speedup is reported; worker "
-            "counts beyond the host's cores are skipped with a reason. "
-            "The machine-readable twin of this table is "
-            "BENCH_parallel.json at the repo root."
         ),
     }
     parts = [preamble]

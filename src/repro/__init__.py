@@ -74,7 +74,7 @@ from repro.graph import (
     random_tree_graph,
     star_graph,
 )
-from repro.parallel import ParallelDPsize, PlanningPool
+from repro.parallel import PlanningPool
 from repro.plans import JoinTree, render_indented, render_inline, validate_plan
 from repro.service import PlanCache, PlanRequest, PlanResponse, PlanService
 
@@ -132,7 +132,6 @@ __all__ = [
     "render_indented",
     "validate_plan",
     # parallel planning
-    "ParallelDPsize",
     "PlanningPool",
     # service layer
     "PlanService",

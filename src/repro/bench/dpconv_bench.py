@@ -10,10 +10,9 @@ cost before its time is recorded — a speedup over a wrong plan is not a
 speedup.
 
 Reference enumerators whose previous cell already exceeded the
-per-cell time budget are skipped with a reason (the same honesty rule
-as ``BENCH_parallel.json``); the numpy backend is skipped with a reason
-when numpy is not importable, which keeps the artifact meaningful on
-the stdlib-only CI hosts.
+per-cell time budget are skipped with a reason; the numpy backend is
+skipped with a reason when numpy is not importable, which keeps the
+artifact meaningful on the stdlib-only CI hosts.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ direct optimizer output bit-identically (the stats layer must be
 strictly opt-in).
 
 Queries whose pipeline run fails are recorded as *skipped* with the
-reason, following the ``parallel_bench`` pattern, so the artifact
-stays well-formed on any host.
+reason, so the artifact stays well-formed on any host.
 """
 
 from __future__ import annotations

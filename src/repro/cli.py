@@ -3,7 +3,7 @@
 ::
 
     python -m repro optimize --topology star -n 8 --algorithm dpccp
-    python -m repro plan     --topology clique -n 12 --jobs 4
+    python -m repro plan     --topology clique -n 12 --algorithm dpconv --verify
     python -m repro count    --topology chain -n 12
     python -m repro table    --figure 3
     python -m repro bench    --figure 10 --budget 500000
@@ -14,8 +14,8 @@
     python -m repro lint src/repro --format json
 
 ``optimize`` plans one query and prints the tree; ``plan`` does the
-same on multiple cores via the level-synchronous parallel DPsize
-(:mod:`repro.parallel`), exactly; ``count`` prints the
+same with any registered engine and can ``--verify`` the result
+against sequential DPsize; ``count`` prints the
 analytical and measured counters; ``table`` regenerates Figure 3;
 ``bench`` runs the timing experiments of Figures 8-12; ``serve-batch``
 replays a workload through the caching :class:`~repro.service.PlanService`
@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = commands.add_parser(
         "plan",
-        help="plan one query with any registered engine (parallel "
-        "DPsize, the DPconv lattice sweep, LinDP, ...)",
+        help="plan one query with any registered engine (DPsize, "
+        "the DPconv lattice sweep, LinDP, ...)",
     )
     plan.add_argument("--topology", choices=PAPER_TOPOLOGIES, default="clique")
     plan.add_argument("-n", "--relations", type=int, default=10)
@@ -93,10 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=sorted(ALGORITHMS),
         default="dpsize",
-        help="engine; 'dpsize' = level-synchronous parallel DPsize "
-        "(multi-core), 'dpconv' = in-process subset-convolution "
-        "lattice sweep (vectorized when numpy is available); any "
-        "other registry name runs in-process",
+        help="engine; 'dpconv' = subset-convolution lattice sweep "
+        "(vectorized when numpy is available); every engine runs "
+        "in-process",
     )
     plan.add_argument(
         "--backend",
@@ -105,32 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="DPconv sweep backend (dpconv only)",
     )
     plan.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (dpsize only); 1 = in-process (no "
-        "pool); default = host core count",
-    )
-    plan.add_argument(
-        "--min-shard-pairs",
-        type=int,
-        default=None,
-        help="dispatch threshold in candidate pairs per level "
-        "(dpsize only; smaller levels run in-process)",
-    )
-    plan.add_argument(
         "--verify",
         action="store_true",
         help="also run sequential DPsize and check the plans match "
         "(exact engines only)",
-    )
-    plan.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="re-submissions after a worker-process crash before a "
-        "level degrades to in-process evaluation (dpsize only; "
-        "default 2)",
     )
 
     count = commands.add_parser(
@@ -520,14 +497,6 @@ def _command_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``plan`` flags that configure the parallel DPsize worker pool and
-#: therefore compose with ``--algorithm dpsize`` only.
-_PLAN_POOL_FLAGS = (
-    ("--jobs", "jobs"),
-    ("--min-shard-pairs", "min_shard_pairs"),
-    ("--max-retries", "max_retries"),
-)
-
 #: Engines whose optimal cost provably matches sequential DPsize on a
 #: connected graph, so ``--verify`` is a meaningful cross-check (the
 #: heuristics and bounded-space engines may legitimately cost more;
@@ -540,19 +509,6 @@ _PLAN_VERIFY_ALGORITHMS = frozenset(
 
 def _validate_plan_flags(args: argparse.Namespace) -> None:
     """Reject ``plan`` flag combinations that do not compose."""
-    if args.algorithm != "dpsize":
-        offending = [
-            flag
-            for flag, attribute in _PLAN_POOL_FLAGS
-            if getattr(args, attribute) is not None
-        ]
-        if offending:
-            raise OptimizerError(
-                f"{'/'.join(offending)} configure the parallel DPsize "
-                f"worker pool and do not compose with --algorithm "
-                f"{args.algorithm}; drop the flag(s) or use "
-                f"--algorithm dpsize"
-            )
     if args.backend != "auto" and args.algorithm != "dpconv":
         raise OptimizerError(
             f"--backend selects the DPconv sweep backend and does not "
@@ -570,63 +526,13 @@ def _validate_plan_flags(args: argparse.Namespace) -> None:
 
 
 def _command_plan(args: argparse.Namespace) -> int:
-    from repro.obs import Instrumentation
-    from repro.parallel import DEFAULT_MIN_PAIRS_PER_SHARD, ParallelDPsize
-
     _validate_plan_flags(args)
     rng = random.Random(args.seed)
     graph = graph_for_topology(args.topology, args.relations, rng=rng)
     catalog = random_catalog(args.relations, rng)
     if args.algorithm == "dpconv":
         return _plan_dpconv(args, graph, catalog)
-    if args.algorithm != "dpsize":
-        return _plan_generic(args, graph, catalog)
-    min_pairs = (
-        args.min_shard_pairs
-        if args.min_shard_pairs is not None
-        else DEFAULT_MIN_PAIRS_PER_SHARD
-    )
-    retry_policy = None
-    if args.max_retries is not None:
-        from repro.parallel import RetryPolicy
-
-        retry_policy = RetryPolicy(max_retries=args.max_retries)
-    obs = Instrumentation()
-    with ParallelDPsize(
-        jobs=args.jobs,
-        min_pairs_per_shard=min_pairs,
-        retry_policy=retry_policy,
-    ) as engine:
-        result = engine.optimize(graph, catalog=catalog, instrumentation=obs)
-        jobs = engine.jobs
-        spawned = engine.pool_spawned
-    counters = obs.counters
-    print(f"algorithm : {result.algorithm} (jobs={jobs})")
-    print(f"cost      : {result.cost:g}")
-    print(f"counters  : {result.counters.as_dict()}")
-    print(f"elapsed   : {result.elapsed_seconds * 1000:.2f} ms")
-    levels = counters.value("parallel.levels")
-    dispatched = counters.value("parallel.levels_dispatched")
-    shards = counters.value("parallel.shards")
-    print(
-        f"parallel  : {levels} levels, {dispatched} dispatched to the "
-        f"pool, {shards} shards total, pool spawned: {spawned}"
-    )
-    print(render_indented(result.plan))
-    if args.verify:
-        reference = make_algorithm("dpsize").optimize(graph, catalog=catalog)
-        if (
-            reference.cost == result.cost
-            and reference.counters.as_dict() == result.counters.as_dict()
-        ):
-            print("verify    : matches sequential DPsize (cost and counters)")
-        else:
-            print(
-                "verify    : MISMATCH — sequential DPsize cost "
-                f"{reference.cost:g}, counters {reference.counters.as_dict()}"
-            )
-            return 1
-    return 0
+    return _plan_generic(args, graph, catalog)
 
 
 def _plan_dpconv(args: argparse.Namespace, graph, catalog) -> int:

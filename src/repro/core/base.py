@@ -160,11 +160,11 @@ class PlanTable:
     def adopt(self, plan: JoinTree) -> None:
         """Install ``plan`` as its relation set's entry, unconditionally.
 
-        Used by drivers that resolve the compare-and-replace step
-        elsewhere (the parallel merge step does it over shard results)
-        and account probes/improvements in bulk; unlike
-        :meth:`register` this neither compares against an incumbent nor
-        touches the probe counters.
+        Used by tables that resolve the compare-and-replace step
+        themselves (:class:`~repro.core.kbest.KBestPlanTable` builds the
+        tree first to offer it to its tracker); unlike :meth:`register`
+        this neither compares against an incumbent nor touches the probe
+        counters.
         """
         self._plans[plan.relations] = plan
 

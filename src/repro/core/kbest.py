@@ -18,9 +18,9 @@ Two capture modes, chosen per algorithm:
   qualify for the heap.
 * **Post-hoc capture** — algorithms that memoize or prune root
   candidates internally (exhaustive's champion memo, top-down
-  branch-and-bound, DPconv's value-only sweep) or run elsewhere
-  (the parallel engine) get rank 1 from their own run, and ranks
-  2..k from one additional DPccp capture run over the same instance.
+  branch-and-bound, DPconv's value-only sweep) get rank 1 from their
+  own run, and ranks 2..k from one additional DPccp capture run over
+  the same instance.
 
 In both modes **rank 1 is the algorithm's own plan, bit-identical to a
 plain ``optimize`` call** — the injected table preserves the base

@@ -57,12 +57,10 @@ class CostModel(abc.ABC):
     #: in the C_out shape:
     #: ``cost(join) = (cost(left) + cost(right)) + out_cardinality``.
     #: ``None`` (the default) declares nothing. Separable symmetric
-    #: models are eligible for the sharded parallel driver
-    #: (:mod:`repro.parallel`), whose workers compare candidate splits
-    #: by ``cost(left) + cost(right)`` without the model and whose
-    #: coordinator re-adds the cardinality once per relation set, with
-    #: the same float expression — only this exact shape makes the
-    #: recomposition bit-identical.
+    #: models let DPconv's value-only lattice sweep and LinDP's interval
+    #: sweep compare candidate splits by ``cost(left) + cost(right)``
+    #: without calling the model, and price only the final plan's
+    #: joins; any other model takes their priced fallback paths.
     separable_join_operator: str | None = None
 
     def __init__(

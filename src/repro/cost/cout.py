@@ -23,7 +23,7 @@ class CoutModel(CostModel):
     symmetric = True  # output cardinality does not depend on input order
     #: C_out is the canonical separable model: the join cost below is
     #: exactly (left + right) + out_cardinality, which qualifies it for
-    #: the sharded parallel driver (see CostModel.separable_join_operator).
+    #: the DPconv and LinDP sweeps (see CostModel.separable_join_operator).
     separable_join_operator = "Join"
 
     def _join_cost(

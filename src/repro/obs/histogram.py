@@ -1,10 +1,8 @@
 """Latency histograms over a sliding sample window.
 
-This is the home of the percentile logic that used to live as a one-off
-in ``repro.service.metrics`` (which now re-exports it): exact
-count/mean/min/max over *all* observations, percentiles over a bounded
-reservoir of the most recent ones. Durations are recorded in seconds
-and reported in milliseconds — the natural unit for optimizer
+Exact count/mean/min/max over *all* observations, percentiles over a
+bounded reservoir of the most recent ones. Durations are recorded in
+seconds and reported in milliseconds — the natural unit for optimizer
 latencies.
 """
 

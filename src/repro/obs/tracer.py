@@ -34,6 +34,8 @@ class Span:
         children: spans opened (on the same thread) while this one was
             active.
         wall_seconds / cpu_seconds: durations, populated on close.
+            ``cpu_seconds`` is CPU of the span's own thread, so a span
+            that blocks on another thread's work is not charged for it.
     """
 
     __slots__ = (
@@ -53,11 +55,11 @@ class Span:
         self.wall_seconds: float = 0.0
         self.cpu_seconds: float = 0.0
         self._started_wall = time.perf_counter()
-        self._started_cpu = time.process_time()
+        self._started_cpu = time.thread_time()
 
     def _close(self) -> None:
         self.wall_seconds = time.perf_counter() - self._started_wall
-        self.cpu_seconds = time.process_time() - self._started_cpu
+        self.cpu_seconds = time.thread_time() - self._started_cpu
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""

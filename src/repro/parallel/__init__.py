@@ -1,42 +1,26 @@
-"""repro.parallel — multi-core planning on top of the exact enumerators.
+"""repro.parallel — whole-query planning on a pool of worker processes.
 
-Two levels of parallelism over one shared pool of warm worker
-processes:
+:meth:`PlanningPool.run_query` plans one whole query on a worker
+process; :class:`~repro.service.PlanService` uses it (``jobs=N``) to
+move distinct-group leader planning off the GIL.
 
-* **Intra-query** — :class:`ParallelDPsize` shards each level of the
-  size-driven DP across the pool and merges deterministically, giving
-  bit-identical plans, costs and paper counters to the sequential
-  :class:`~repro.core.dpsize.DPsize`.
-* **Inter-query** — :class:`PlanningPool.submit_query` plans whole
-  queries on worker processes; :class:`~repro.service.PlanService`
-  uses it (``jobs=N``) to move distinct-group leader planning off the
-  GIL.
-
-Both levels are fault-tolerant: worker death (``BrokenProcessPool``)
-tears the executor down, respawns it lazily, and re-runs the lost work
+The pool is fault-tolerant: worker death (``BrokenProcessPool``) tears
+the executor down, respawns it lazily, and re-runs the lost query
 under a bounded :class:`~repro.parallel.resilience.RetryPolicy`;
 persistent faults trip a :class:`~repro.parallel.resilience.CircuitBreaker`
 and planning degrades transparently to the in-process sequential path
 — a broken pool costs throughput, never correctness.
 
-See :mod:`repro.parallel.engine` for the exactness protocol,
-:mod:`repro.parallel.partition` for the shard math and
+See :mod:`repro.parallel.pool` for the health state machine and
 :mod:`repro.parallel.resilience` for the fault-tolerance policies.
 """
 
-from repro.parallel.engine import DEFAULT_MIN_PAIRS_PER_SHARD, ParallelDPsize
-from repro.parallel.partition import iter_pair_range, pair_count, split_range
 from repro.parallel.pool import PlanningPool, default_jobs
 from repro.parallel.resilience import CircuitBreaker, RetryPolicy
 
 __all__ = [
-    "ParallelDPsize",
     "PlanningPool",
     "CircuitBreaker",
     "RetryPolicy",
-    "DEFAULT_MIN_PAIRS_PER_SHARD",
     "default_jobs",
-    "pair_count",
-    "split_range",
-    "iter_pair_range",
 ]

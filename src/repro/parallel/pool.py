@@ -2,24 +2,18 @@
 
 Pure-Python enumeration is GIL-bound: the service's thread pool
 overlaps waiting, never computing. :class:`PlanningPool` wraps a
-:class:`concurrent.futures.ProcessPoolExecutor` behind the two task
-shapes of :mod:`repro.parallel.worker` so both parallelism levels share
-one set of warm workers:
-
-* :meth:`submit_query` / :meth:`run_query` — plan a whole query in one
-  worker process (inter-query parallelism; what
-  :class:`~repro.service.PlanService` uses for distinct-group leaders),
-* :meth:`run_shards` — evaluate one DP level's shards and gather the
-  results in submission order (intra-query parallelism; what
-  :class:`~repro.parallel.engine.ParallelDPsize` uses).
+:class:`concurrent.futures.ProcessPoolExecutor` so whole queries plan
+on worker processes: :meth:`run_query` plans one query in a worker
+(what :class:`~repro.service.PlanService` uses for distinct-group
+leaders), and :meth:`submit` schedules any picklable callable.
 
 The underlying executor is spawned lazily on first use — a pool that
 is constructed but never asked to parallelize costs nothing — and
 ``jobs=1`` callers are expected to take their in-process path instead
-of constructing a pool at all. Every ``submit*`` method returns a
+of constructing a pool at all. :meth:`submit` returns a
 :class:`concurrent.futures.Future`, which is async-friendly as-is:
-``await asyncio.wrap_future(pool.submit_query(...))`` integrates with
-an event loop without any dedicated asyncio surface.
+``await asyncio.wrap_future(pool.submit(...))`` integrates with an
+event loop without any dedicated asyncio surface.
 
 **Fault tolerance.** A worker process can die at any moment (OOM
 kill, segfault, operator SIGKILL); ``concurrent.futures`` then raises
@@ -34,15 +28,14 @@ poisoned. The pool runs a small health state machine around that:
 * back to ``healthy`` — the next submission lazily respawns a fresh
   executor (``pool.respawns`` counted once per actual respawn).
 
-:meth:`run_query` and :meth:`run_shards` re-run work lost to a fault
-under the pool's :class:`~repro.parallel.resilience.RetryPolicy`
-(bounded retries, exponential backoff with jitter, capped by the
-remaining request deadline). When the budget is exhausted they raise
+:meth:`run_query` re-runs a query lost to a fault under the pool's
+:class:`~repro.parallel.resilience.RetryPolicy` (bounded retries,
+exponential backoff with jitter, capped by the remaining request
+deadline). When the budget is exhausted it raises
 :class:`~repro.errors.PoolBrokenError`, which callers treat as the
 signal to degrade to in-process sequential planning — a broken pool
-costs throughput, never correctness. The raw :meth:`submit` /
-:meth:`submit_query` futures stay retry-free for callers that manage
-their own fault policy.
+costs throughput, never correctness. The raw :meth:`submit` futures
+stay retry-free for callers that manage their own fault policy.
 """
 
 from __future__ import annotations
@@ -53,19 +46,12 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.errors import OptimizerError, PoolBrokenError
 from repro.obs.instrumentation import Instrumentation, NULL_INSTRUMENTATION
 from repro.parallel.resilience import RetryPolicy
-from repro.parallel.worker import (
-    ShardResult,
-    ShardTask,
-    WholeQueryOutcome,
-    WholeQueryTask,
-    plan_query,
-    run_shard,
-)
+from repro.parallel.worker import WholeQueryOutcome, WholeQueryTask, plan_query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
@@ -86,19 +72,15 @@ class PlanningPool:
 
     Args:
         jobs: worker process count; defaults to the host core count.
-        retry_policy: fault-retry budget for :meth:`run_query` and
-            :meth:`run_shards`; defaults to a stock
-            :class:`~repro.parallel.resilience.RetryPolicy`.
+        retry_policy: fault-retry budget for :meth:`run_query`; defaults
+            to a stock :class:`~repro.parallel.resilience.RetryPolicy`.
         instrumentation: obs context for ``pool.faults`` /
             ``pool.respawns`` / ``retry.*`` accounting; a disabled
             no-op context when not given.
         rng: jitter source, injectable for deterministic tests.
 
     The pool is a context manager; :meth:`close` shuts the workers
-    down. It is safe to share one pool between a
-    :class:`~repro.parallel.engine.ParallelDPsize` engine and a
-    :class:`~repro.service.PlanService` — warm per-query worker state
-    is keyed by query, not by submitter.
+    down.
     """
 
     def __init__(
@@ -161,7 +143,7 @@ class PlanningPool:
 
     @property
     def retry_policy(self) -> RetryPolicy:
-        """The fault-retry budget governing ``run_query``/``run_shards``."""
+        """The fault-retry budget governing :meth:`run_query`."""
         return self._retry_policy
 
     # ------------------------------------------------------------------
@@ -249,26 +231,6 @@ class PlanningPool:
         if isinstance(future.exception(), BrokenProcessPool):
             self._report_fault(executor)
 
-    def submit_query(
-        self,
-        graph: "QueryGraph",
-        catalog: "Catalog | None",
-        algorithm: str,
-    ) -> "Future[WholeQueryOutcome]":
-        """Plan one whole query on a worker process (no fault retry).
-
-        The returned future resolves to a
-        :class:`~repro.parallel.worker.WholeQueryOutcome` whose
-        ``result`` is a complete
-        :class:`~repro.core.base.OptimizationResult` (plan, paper
-        counters, timings) in the submitted graph's own numbering.
-        Prefer :meth:`run_query` when the caller wants worker-death
-        survival instead of a raw future.
-        """
-        return self.submit(
-            plan_query, WholeQueryTask(graph=graph, catalog=catalog, algorithm=algorithm)
-        )
-
     def run_query(
         self,
         graph: "QueryGraph",
@@ -278,6 +240,11 @@ class PlanningPool:
         deadline_at: float | None = None,
     ) -> WholeQueryOutcome:
         """Plan one whole query, surviving worker death; blocks until done.
+
+        Returns a :class:`~repro.parallel.worker.WholeQueryOutcome`
+        whose ``result`` is a complete
+        :class:`~repro.core.base.OptimizationResult` (plan, paper
+        counters, timings) in the submitted graph's own numbering.
 
         Worker faults (``BrokenProcessPool``) tear the executor down,
         respawn it, and re-run the query under the pool's retry policy.
@@ -307,60 +274,6 @@ class PlanningPool:
                         f"query; retry budget exhausted "
                         f"(max_retries={self._retry_policy.max_retries})"
                     ) from error
-
-    def run_shards(
-        self,
-        tasks: Sequence[ShardTask],
-        *,
-        deadline_at: float | None = None,
-    ) -> list[ShardResult]:
-        """Evaluate level shards concurrently; results in task order.
-
-        Order matters: the merge step resolves cost ties by shard
-        order to reproduce the sequential keep-the-incumbent rule.
-
-        Shards lost to worker death are re-submitted on a respawned
-        executor under the retry policy — completed shards are kept,
-        only the lost ones re-run (shard evaluation is deterministic
-        and side-effect-free, so a re-run is bit-identical).
-
-        Raises:
-            PoolBrokenError: faults persisted past the retry budget;
-                the caller evaluates the level in-process instead.
-        """
-        results: list[ShardResult | None] = [None] * len(tasks)
-        pending = list(range(len(tasks)))
-        attempt = 0
-        while pending:
-            executor = self._ensure_executor()
-            fault: BrokenProcessPool | None = None
-            lost: list[int] = []
-            try:
-                futures = [
-                    (index, executor.submit(run_shard, tasks[index]))
-                    for index in pending
-                ]
-            except BrokenProcessPool as error:
-                fault, futures = error, []
-                lost = list(pending)
-            for index, future in futures:
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool as error:
-                    fault = error
-                    lost.append(index)
-            if fault is None:
-                break
-            self._report_fault(executor)
-            attempt += 1
-            if not self._backoff(attempt, deadline_at):
-                raise PoolBrokenError(
-                    f"planning pool faulted {attempt} time(s) across one "
-                    f"level ({len(lost)} shard(s) lost); retry budget "
-                    f"exhausted (max_retries={self._retry_policy.max_retries})"
-                ) from fault
-            pending = lost
-        return [result for result in results if result is not None]
 
     # ------------------------------------------------------------------
     # Lifecycle

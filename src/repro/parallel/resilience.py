@@ -13,11 +13,10 @@ policy objects the rest of the stack composes to survive that:
   the remaining request budget.
 * :class:`CircuitBreaker` — the classic three-state machine
   (``closed`` → ``open`` after K *consecutive* faults → ``half_open``
-  probe after a cooldown). :class:`~repro.parallel.engine.ParallelDPsize`
-  and :class:`~repro.service.PlanService` consult it before touching
-  the process pool so a persistently broken pool degrades to
-  in-process sequential planning instead of paying a respawn-and-fail
-  cycle per request.
+  probe after a cooldown). :class:`~repro.service.PlanService`
+  consults it before touching the process pool so a persistently
+  broken pool degrades to in-process sequential planning instead of
+  paying a respawn-and-fail cycle per request.
 
 Both are deliberately dependency-free (stdlib + obs counters only) so
 they can be used by any layer without import cycles.

@@ -1,135 +1,33 @@
-"""Worker-process side of the parallel planning engine.
+"""Worker-process side of the planning pool.
 
 Everything in this module must be importable and picklable from a
 fresh interpreter, because it executes inside
-:class:`concurrent.futures.ProcessPoolExecutor` workers. Two task
-shapes exist:
-
-* :func:`run_shard` — *intra-query* parallelism: evaluate one
-  contiguous shard of a DPsize level's candidate-pair space
-  (:mod:`repro.parallel.partition`) and return the best
-  plan-per-new-subset records plus the paper counters for the shard.
-* :func:`plan_query` — *inter-query* parallelism: run a whole
-  sequential optimization for one query in this worker process and
-  ship the finished :class:`~repro.core.base.OptimizationResult` back.
-
-Workers are *warm*: per-query derived state (the rebuilt
-:class:`~repro.graph.querygraph.QueryGraph`, the stub plan table, the
-level buckets) is cached in module globals keyed by the query's
-canonical-fingerprint key, so a query is shipped and rebuilt once per
-worker, not once per shard. Level results arrive as pre-pickled blobs
-the coordinator serialized once; a worker unpickles each level only the
-first time it sees it.
-
-The shard scanner is deliberately cost-model-free: it works on
-``(cardinality, cost)`` stubs and the *separable-cost* contract
-(``cost(join) = cost(left) + cost(right) + f(cardinality)``, with
-``f`` the identity for C_out), which is what lets the merge step on the
-coordinator reconstruct bit-identical sequential costs. The engine
-gates the parallel path to cost models declaring that contract (see
-:attr:`repro.cost.base.CostModel.separable_join_operator`).
+:class:`concurrent.futures.ProcessPoolExecutor` workers.
+:func:`plan_query` runs a whole sequential optimization for one query
+in the worker process and ships the finished
+:class:`~repro.core.base.OptimizationResult` back;
+:func:`worker_pid` and :func:`crash_worker` are the fault-injection
+probes the resilience tests submit.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import make_algorithm
 from repro.core.base import OptimizationResult
 from repro.graph.querygraph import QueryGraph
-from repro.parallel.partition import iter_pair_range
 
 __all__ = [
-    "QuerySpec",
-    "ShardTask",
-    "ShardResult",
     "WholeQueryTask",
     "WholeQueryOutcome",
-    "run_shard",
     "plan_query",
     "worker_pid",
     "crash_worker",
 ]
-
-#: Warm-state slots kept per worker. Small: a worker typically serves
-#: one query at a time; a few slots tolerate interleaved batches.
-STATE_CAPACITY = 4
-
-
-@dataclass(frozen=True, slots=True)
-class QuerySpec:
-    """The complete, picklable description of one query instance.
-
-    Attributes:
-        key: instance identity — the canonical fingerprint key plus an
-            exact-instance digest (see ``engine._spec_key``). Workers
-            cache derived state under this key.
-        n_relations: number of relations.
-        edges: ``(left, right, selectivity)`` triples (exact floats,
-            not the fingerprint's quantized ones).
-        leaf_cardinalities / leaf_costs: per-relation stats of the
-            coordinator's cost model, so workers never need the
-            catalog or the cost model itself.
-    """
-
-    key: str
-    n_relations: int
-    edges: tuple[tuple[int, int, float], ...]
-    leaf_cardinalities: tuple[float, ...]
-    leaf_costs: tuple[float, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ShardTask:
-    """One contiguous slice of one DP level's candidate-pair space.
-
-    Attributes:
-        spec: the query (cheap to re-send; cached by ``spec.key``).
-        levels: ``(size, blob)`` pairs for every completed level
-            ``>= 2``, each blob a pickled list of
-            ``(mask, cardinality, cost)`` in bucket order. Workers
-            install only levels they have not seen.
-        size: the level being evaluated.
-        start / stop: global candidate index range (see
-            :mod:`repro.parallel.partition`).
-    """
-
-    spec: QuerySpec
-    levels: tuple[tuple[int, bytes], ...]
-    size: int
-    start: int
-    stop: int
-
-
-@dataclass(slots=True)
-class ShardResult:
-    """What one shard evaluation returns to the coordinator.
-
-    ``unions`` holds one record per relation set first reached inside
-    the shard, in discovery order:
-    ``(mask, first_index, cardinality, best_base, left, right)`` where
-    ``first_index`` is the global candidate index of the first
-    connected pair producing ``mask`` (the moment the sequential
-    algorithm would have computed and memoized the set's cardinality),
-    ``cardinality`` the value computed at that first pair, and
-    ``best_base = cost(left) + cost(right)`` of the shard's winning
-    split under the keep-first-on-ties rule.
-    """
-
-    unions: list[tuple[int, int, float, float, int, int]] = field(
-        default_factory=list
-    )
-    inner: int = 0
-    ccp_unordered: int = 0
-    create_join_tree_calls: int = 0
-    probes: int = 0
-    improvements: int = 0
-    cpu_seconds: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,154 +45,6 @@ class WholeQueryOutcome:
 
     result: OptimizationResult
     cpu_seconds: float
-
-
-class _QueryState:
-    """Per-query warm state cached inside one worker process."""
-
-    __slots__ = ("graph", "stubs", "buckets", "installed")
-
-    def __init__(self, spec: QuerySpec) -> None:
-        self.graph = QueryGraph(spec.n_relations, spec.edges)
-        # mask -> (cardinality, cost) of the authoritative best plan.
-        self.stubs: dict[int, tuple[float, float]] = {
-            1 << index: (spec.leaf_cardinalities[index], spec.leaf_costs[index])
-            for index in range(spec.n_relations)
-        }
-        self.buckets: list[list[int]] = [
-            [] for _ in range(spec.n_relations + 1)
-        ]
-        self.buckets[1] = [1 << index for index in range(spec.n_relations)]
-        self.installed: set[int] = {1}
-
-
-class _WarmStateCache:
-    """LRU cache of :class:`_QueryState`, local to one worker process.
-
-    Worker processes re-import this module fresh, so each process owns
-    an independent instance: entries are only ever touched from task
-    bodies running *in that process*, never shared across processes,
-    and the coordinator's merge step depends only on the authoritative
-    shard results shipped back — never on this cache's contents.
-    Encapsulating the dict here keeps that process-locality structural
-    instead of a convention about a bare module-level mapping.
-    """
-
-    __slots__ = ("_entries", "_capacity")
-
-    def __init__(self, capacity: int) -> None:
-        self._entries: OrderedDict[str, _QueryState] = OrderedDict()
-        self._capacity = capacity
-
-    def get_or_build(self, spec: QuerySpec) -> _QueryState:
-        """Fetch or build the warm state for ``spec`` (LRU-capped)."""
-        state = self._entries.get(spec.key)
-        if state is not None:
-            self._entries.move_to_end(spec.key)
-            return state
-        state = _QueryState(spec)
-        self._entries[spec.key] = state
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-        return state
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_STATE = _WarmStateCache(STATE_CAPACITY)
-
-
-def _state_for(spec: QuerySpec) -> _QueryState:
-    """Fetch or build the warm state for ``spec`` in this process."""
-    return _STATE.get_or_build(spec)
-
-
-def _install_levels(
-    state: _QueryState, levels: tuple[tuple[int, bytes], ...]
-) -> None:
-    """Install the authoritative results of completed levels once each."""
-    for size, blob in levels:
-        if size in state.installed:
-            continue
-        entries: list[tuple[int, float, float]] = pickle.loads(blob)
-        bucket = state.buckets[size]
-        stubs = state.stubs
-        for mask, cardinality, cost in entries:
-            bucket.append(mask)
-            stubs[mask] = (cardinality, cost)
-        state.installed.add(size)
-
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Evaluate one candidate shard; the process-pool task body.
-
-    Mirrors the sequential DPsize inner loops exactly over the shard's
-    slice: the inner counter counts every candidate, disjointness and
-    connectedness are tested per candidate, the set cardinality is
-    computed (with the same float expression) at the first connected
-    pair of each new set, and the best split is kept under the
-    strict-improvement rule, so concatenating shard results in range
-    order reproduces the sequential plan table bit for bit.
-    """
-    cpu_started = time.process_time()
-    state = _state_for(task.spec)
-    _install_levels(state, task.levels)
-    graph = state.graph
-    stubs = state.stubs
-    are_connected = graph.are_connected
-    crossing_selectivity = graph.crossing_selectivity
-
-    result = ShardResult()
-    order: list[int] = []  # masks in first-discovery order
-    # mask -> mutable [first_index, cardinality, best_base, left, right]
-    records: dict[int, list] = {}
-    inner = ono = probes = improvements = 0
-
-    for index, (left, right) in enumerate(
-        iter_pair_range(state.buckets, task.size, task.start, task.stop),
-        start=task.start,
-    ):
-        inner += 1
-        if left & right:
-            continue
-        if not are_connected(left, right):
-            continue
-        ono += 1
-        probes += 1
-        union = left | right
-        left_card, left_cost = stubs[left]
-        right_card, right_cost = stubs[right]
-        base = left_cost + right_cost
-        record = records.get(union)
-        if record is None:
-            # Same float expression as the sequential estimator:
-            # |L| * |R| * prod(crossing selectivities).
-            selectivity = crossing_selectivity(left, right)
-            cardinality = left_card * right_card * selectivity
-            records[union] = [index, cardinality, base, left, right]
-            order.append(union)
-            improvements += 1
-        elif base + record[1] < record[2] + record[1]:
-            # Compare *full* costs (base + memoized cardinality), not
-            # bare bases: at large magnitudes two different bases can
-            # round to the same cost, and the sequential table keeps
-            # the incumbent exactly then.
-            record[2] = base
-            record[3] = left
-            record[4] = right
-            improvements += 1
-
-    result.unions = [
-        (mask, *records[mask]) for mask in order
-    ]  # (mask, first_index, cardinality, best_base, left, right)
-    result.inner = inner
-    result.ccp_unordered = ono
-    result.create_join_tree_calls = ono
-    result.probes = probes
-    result.improvements = improvements
-    result.cpu_seconds = time.process_time() - cpu_started
-    return result
 
 
 def worker_pid(token: object = None) -> int:
@@ -323,7 +73,7 @@ def crash_worker(signum: int = signal.SIGKILL) -> None:
 
 
 def plan_query(task: WholeQueryTask) -> WholeQueryOutcome:
-    """Run one whole optimization in this worker; the inter-query task."""
+    """Run one whole optimization in this worker; the pool's task body."""
     cpu_started = time.process_time()
     result = make_algorithm(task.algorithm).optimize(
         task.graph, catalog=task.catalog

@@ -36,12 +36,7 @@ Quick start::
 
 from repro.service.batch import plan_batch
 from repro.service.fingerprint import Fingerprint, compute_fingerprint, quantize
-from repro.service.metrics import (
-    Counter,
-    LatencyHistogram,
-    MetricsRegistry,
-    render_snapshot,
-)
+from repro.service.metrics import MetricsRegistry, render_snapshot
 from repro.service.optimizer_service import PlanRequest, PlanResponse, PlanService
 from repro.service.plancache import CacheStats, PlanCache
 
@@ -54,8 +49,6 @@ __all__ = [
     "Fingerprint",
     "compute_fingerprint",
     "quantize",
-    "Counter",
-    "LatencyHistogram",
     "MetricsRegistry",
     "render_snapshot",
     "plan_batch",

@@ -1,10 +1,7 @@
 """Service metrics, backed by the unified :mod:`repro.obs` layer.
 
-Historically this module owned its own counter and histogram
-implementations; those now live in :mod:`repro.obs` (one accounting
-system for enumerators *and* the service) and are re-exported here
-under their original names. :class:`MetricsRegistry` keeps its API but
-is a thin view over an obs :class:`~repro.obs.CounterRegistry` and
+:class:`MetricsRegistry` is a thin view over an obs
+:class:`~repro.obs.CounterRegistry` and
 :class:`~repro.obs.HistogramRegistry` — pass the registries of a shared
 :class:`~repro.obs.Instrumentation` and service counters, enumerator
 counters and span timings all land in the same snapshot.
@@ -16,19 +13,9 @@ import json
 from typing import Any, Mapping
 
 from repro.obs.counters import Counter, CounterRegistry
-from repro.obs.histogram import DEFAULT_WINDOW, Histogram, HistogramRegistry
+from repro.obs.histogram import Histogram, HistogramRegistry
 
-__all__ = [
-    "Counter",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "render_snapshot",
-    "DEFAULT_WINDOW",
-]
-
-#: Backwards-compatible alias: the service's latency histogram is the
-#: obs histogram (seconds in, milliseconds out).
-LatencyHistogram = Histogram
+__all__ = ["MetricsRegistry", "render_snapshot"]
 
 
 class MetricsRegistry:
@@ -38,20 +25,16 @@ class MetricsRegistry:
     ``metrics.counter("requests").increment()``.
 
     Args:
-        counters / histograms: existing obs registries to share; by
-            default the registry owns private ones (the pre-obs
-            behavior).
+        counters / histograms: the obs registries the instruments live
+            in, usually those of a shared
+            :class:`~repro.obs.Instrumentation`.
     """
 
     def __init__(
-        self,
-        counters: CounterRegistry | None = None,
-        histograms: HistogramRegistry | None = None,
+        self, counters: CounterRegistry, histograms: HistogramRegistry
     ) -> None:
-        self._counters = counters if counters is not None else CounterRegistry()
-        self._histograms = (
-            histograms if histograms is not None else HistogramRegistry()
-        )
+        self._counters = counters
+        self._histograms = histograms
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name``, created if needed."""

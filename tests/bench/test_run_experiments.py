@@ -41,7 +41,7 @@ class TestProduce:
     def test_artifact_list_complete(self):
         assert set(ALL_ARTIFACTS) == {
             "fig3", "fig8", "fig9", "fig10", "fig11", "fig12",
-            "quality", "model", "parallel",
+            "quality", "model",
         }
 
 

@@ -43,6 +43,25 @@ class TestNesting:
         assert outer.wall_seconds >= inner.wall_seconds
         assert outer.cpu_seconds >= 0.0
 
+    def test_blocked_span_is_not_charged_another_threads_cpu(self):
+        tracer = Tracer()
+        done = threading.Event()
+
+        def spin():
+            # Burn 150 ms of this thread's own CPU, not wall time.
+            started = time.thread_time()
+            while time.thread_time() - started < 0.150:
+                pass
+            done.set()
+
+        with tracer.span("service.wait") as span:
+            worker = threading.Thread(target=spin)
+            worker.start()
+            assert done.wait(timeout=30.0)
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert span.cpu_seconds < 0.05
+
     def test_attributes_can_be_added_while_open(self):
         tracer = Tracer()
         with tracer.span("request", n=5) as span:

@@ -44,11 +44,11 @@ class TestPlanningPool:
         with pytest.raises(OptimizerError):
             pool.submit(len, ())
 
-    def test_submit_query_matches_sequential(self):
+    def test_run_query_matches_sequential(self):
         graph, catalog = instance(7, seed=1)
         reference = DPccp().optimize(graph, catalog=catalog)
         with PlanningPool(2) as pool:
-            outcome = pool.submit_query(graph, catalog, "dpccp").result()
+            outcome = pool.run_query(graph, catalog, "dpccp")
             assert pool.spawned
         assert outcome.result.cost == reference.cost
         assert outcome.result.counters.as_dict() == reference.counters.as_dict()

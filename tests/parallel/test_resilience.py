@@ -24,7 +24,7 @@ from repro.errors import OptimizerError, PoolBrokenError
 from repro.graph.generators import graph_for_topology
 from repro.catalog.synthetic import random_catalog
 from repro.obs import Instrumentation
-from repro.parallel import CircuitBreaker, ParallelDPsize, PlanningPool, RetryPolicy
+from repro.parallel import CircuitBreaker, PlanningPool, RetryPolicy
 from repro.parallel.worker import crash_worker, worker_pid
 
 
@@ -251,63 +251,3 @@ class TestPoolFaultRecovery:
             assert time.monotonic() - started < 10.0
             assert obs.counters.value("retry.deadline_exhausted") >= 1
 
-
-class TestShardFaultRecovery:
-    def test_run_shards_survive_poisoned_pool(self):
-        """A broken executor at dispatch time: shards re-run, results exact."""
-        graph, catalog = instance(9, seed=11, topology="clique")
-        reference = DPsize().optimize(graph, catalog=catalog)
-        obs = Instrumentation()
-        with PlanningPool(
-            2, retry_policy=fast_policy(), instrumentation=obs
-        ) as pool:
-            poison(pool)
-            with ParallelDPsize(pool=pool, min_pairs_per_shard=1) as engine:
-                result = engine.optimize(graph, catalog=catalog)
-            assert result.cost == reference.cost
-            assert result.counters.as_dict() == reference.counters.as_dict()
-            assert repr(result.plan) == repr(reference.plan)
-            assert pool.respawn_count >= 1
-
-    def test_run_shards_killed_mid_level(self):
-        """SIGKILL a worker while shards are in flight; plan stays exact."""
-        graph, catalog = instance(10, seed=13, topology="clique")
-        reference = DPsize().optimize(graph, catalog=catalog)
-        with PlanningPool(2, retry_policy=fast_policy()) as pool:
-            pids = {pool.submit(worker_pid, token).result() for token in range(8)}
-            killed = threading.Event()
-
-            def kill_soon():
-                time.sleep(0.05)
-                for pid in list(pids)[:1]:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                killed.set()
-
-            killer = threading.Thread(target=kill_soon)
-            killer.start()
-            with ParallelDPsize(pool=pool, min_pairs_per_shard=1) as engine:
-                result = engine.optimize(graph, catalog=catalog)
-            killer.join()
-            assert killed.is_set()
-            assert result.cost == reference.cost
-            assert result.counters.as_dict() == reference.counters.as_dict()
-
-    def test_open_breaker_degrades_in_process(self):
-        """With the breaker open the engine never touches the pool."""
-        graph, catalog = instance(8, seed=7, topology="clique")
-        reference = DPsize().optimize(graph, catalog=catalog)
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_seconds=1e9, clock=clock)
-        breaker.record_failure()  # permanently open under the fake clock
-        obs = Instrumentation()
-        with ParallelDPsize(
-            jobs=2, min_pairs_per_shard=1, breaker=breaker
-        ) as engine:
-            result = engine.optimize(graph, catalog=catalog, instrumentation=obs)
-            assert not engine.pool_spawned or engine.breaker.state == "open"
-        assert result.cost == reference.cost
-        assert result.counters.as_dict() == reference.counters.as_dict()
-        assert obs.counters.value("parallel.degraded_levels") > 0

@@ -7,12 +7,12 @@ import threading
 
 import pytest
 
-from repro.service.metrics import (
-    Counter,
-    LatencyHistogram,
-    MetricsRegistry,
-    render_snapshot,
-)
+from repro.obs import Counter, CounterRegistry, Histogram, HistogramRegistry
+from repro.service.metrics import MetricsRegistry, render_snapshot
+
+
+def fresh_registry() -> MetricsRegistry:
+    return MetricsRegistry(CounterRegistry(), HistogramRegistry())
 
 
 class TestCounter:
@@ -39,10 +39,10 @@ class TestCounter:
 
 class TestHistogram:
     def test_empty_summary(self):
-        assert LatencyHistogram().summary() == {"count": 0}
+        assert Histogram().summary() == {"count": 0}
 
     def test_percentiles(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         for ms in range(1, 101):  # 1..100 ms
             histogram.observe(ms / 1000.0)
         summary = histogram.summary()
@@ -55,7 +55,7 @@ class TestHistogram:
         assert summary["mean_ms"] == pytest.approx(50.5)
 
     def test_window_bounds_memory(self):
-        histogram = LatencyHistogram(window=10)
+        histogram = Histogram(window=10)
         for value in range(100):
             histogram.observe(value)
         assert histogram.count == 100
@@ -64,12 +64,12 @@ class TestHistogram:
 
 class TestRegistry:
     def test_instruments_are_singletons_by_name(self):
-        registry = MetricsRegistry()
+        registry = fresh_registry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
 
     def test_snapshot_round_trips_through_json(self):
-        registry = MetricsRegistry()
+        registry = fresh_registry()
         registry.counter("requests").increment(3)
         registry.histogram("latency").observe(0.010)
         snapshot = json.loads(registry.to_json())
@@ -78,7 +78,7 @@ class TestRegistry:
         assert snapshot["histograms"]["latency"]["p99_ms"] == 10.0
 
     def test_render_snapshot(self):
-        registry = MetricsRegistry()
+        registry = fresh_registry()
         registry.counter("requests").increment()
         registry.histogram("latency").observe(0.002)
         text = render_snapshot(registry.snapshot())
@@ -86,7 +86,7 @@ class TestRegistry:
         assert "p99_ms" in text
 
     def test_render_empty_snapshot(self):
-        assert "no metrics" in render_snapshot(MetricsRegistry().snapshot())
+        assert "no metrics" in render_snapshot(fresh_registry().snapshot())
 
     def test_render_cache_section(self):
         snapshot = {"cache": {"hits": 1, "hit_rate": 0.5}}

@@ -9,7 +9,8 @@ The acceptance battery for the fault-tolerance layer:
   (fingerprinting, cache lookups) shrinks the wait;
 * leader failures surface as degraded responses (for the leader and
   for every follower coalesced onto it), never as raw exceptions;
-* one failing batch group cannot destroy the rest of the batch.
+* one failing batch group cannot destroy the rest of the batch;
+* an open circuit breaker keeps planning in-process and exact.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 
 from repro.catalog.synthetic import random_catalog
 from repro.core import make_algorithm
+from repro.errors import PoolBrokenError
 from repro.graph.generators import graph_for_topology
 from repro.parallel.worker import worker_pid
 from repro.plans.visitors import validate_plan
@@ -188,6 +190,40 @@ class TestBatchIsolation:
             assert (
                 service.metrics.counter("batch_group_failures").value >= 1
             )
+
+
+class TestBreakerFallback:
+    def test_open_breaker_keeps_planning_in_process(self):
+        """A broken pool trips the breaker; later requests skip the pool."""
+        instances = [make_instance("star", 8, 21), make_instance("chain", 9, 22)]
+        with PlanService(
+            algorithm="dpccp",
+            jobs=2,
+            max_retries=0,
+            breaker_threshold=1,
+            breaker_cooldown_seconds=1e9,
+        ) as service:
+            pool = service._process_pool
+            calls = []
+
+            def broken_run_query(*args, **kwargs):
+                calls.append(args)
+                raise PoolBrokenError("simulated broken pool")
+
+            pool.run_query = broken_run_query
+            responses = []
+            for graph, catalog in instances:
+                responses.append(service.plan(graph, catalog))
+                assert service.breaker_state == "open"
+            assert len(calls) == 1
+            for response, (graph, catalog) in zip(responses, instances):
+                assert not response.degraded
+                validate_plan(response.plan, graph)
+                direct = make_algorithm("dpccp").optimize(graph, catalog=catalog)
+                assert response.cost == pytest.approx(direct.cost, rel=1e-9)
+            assert service.metrics.counter("pool_fallbacks").value == 1
+            assert service.metrics.counter("process_planned").value == 0
+            assert not pool.spawned
 
 
 class TestChaosBattery:
