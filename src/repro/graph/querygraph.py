@@ -472,8 +472,20 @@ class QueryGraph:
             and self._edges == other._edges
         )
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
+        """Structural hash, computed once: the plan service hashes every
+        request's graph on its exact-instance lookup."""
         return hash((self._n, self._names, self._edges))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Pickle the constructor arguments only: string hashes are
+        # salted per process, so a cached ``_hash`` must not travel to
+        # a worker process.
+        return (QueryGraph, (self._n, self._edges, self._names))
 
 
 def remap_mask(mask: int, index_map: Sequence[int]) -> int:

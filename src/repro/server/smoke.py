@@ -8,7 +8,8 @@ Run as ``python -m repro.server.smoke``. The script
    bodies over several topologies, ``plan_sql`` texts, and malformed
    requests that must answer structured 4xx errors,
 3. verifies every well-formed response carries a correct (fingerprint-
-   stable) plan and every malformed one a structured error,
+   stable) plan, the same cost and plan for every repeat of a body, and
+   every malformed one a structured error,
 4. shuts down and asserts **zero leaked threads and zero leaked
    asyncio tasks**, and
 5. writes the server's final obs snapshot to ``--snapshot-out`` (CI
@@ -56,6 +57,8 @@ def _client_worker(
         json.dumps({"graph": graph_to_dict(graph)}) for graph in graphs
     ]
     expected_keys: dict[int, str] = {}
+    # body -> (cost, plan JSON) of its first 200 reply on this client.
+    expected_plans: dict[str, tuple[float, str]] = {}
     tallies = {"ok": 0, "overloaded": 0, "quota": 0, "errors": 0}
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
@@ -80,12 +83,11 @@ def _client_worker(
                     tallies["errors"] += 1
                 continue
             if kind == 2:
-                connection.request(
-                    "POST", "/plan_sql", body=json.dumps({"sql": _SQL})
-                )
+                path, body = "/plan_sql", json.dumps({"sql": _SQL})
             else:
                 graph_index = request_index % len(bodies)
-                connection.request("POST", "/plan", body=bodies[graph_index])
+                path, body = "/plan", bodies[graph_index]
+            connection.request("POST", path, body=body)
             response = connection.getresponse()
             payload = json.loads(response.read())
             if response.status == 429:
@@ -105,6 +107,11 @@ def _client_worker(
                     graph_index, payload["fingerprint_key"]
                 )
                 assert payload["fingerprint_key"] == seen
+            # A repeated body must get the very plan its first reply
+            # carried, whether the service relabelled it afresh or
+            # served it from the exact-instance table.
+            reply = (payload["cost"], json.dumps(payload["plan"], sort_keys=True))
+            assert reply == expected_plans.setdefault(body, reply), body
             tallies["ok"] += 1
     finally:
         connection.close()

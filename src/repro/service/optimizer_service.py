@@ -8,6 +8,11 @@ something a query engine can keep resident and hammer:
   when an equivalent query was planned before — cached plans are stored
   in canonical numbering and translated back to the request's
   numbering, so isomorphic queries share one entry;
+* an **exact-instance table** sits in front of fingerprinting: a
+  request whose graph and cardinalities equal an earlier request's, in
+  its own numbering, reuses that request's fingerprint, and — while the
+  cache still hands back the same entry — its already-translated plan,
+  so a repeat skips canonicalization and relabelling;
 * misses run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
   so a burst of cold queries cannot monopolize the caller's thread, and
   concurrent identical misses are **coalesced** into one optimization
@@ -103,7 +108,9 @@ class PlanResponse:
         fingerprint_key: the request's canonical identity (cache key
             sans algorithm prefix).
         elapsed_seconds: wall-clock time this request spent in the
-            service, queueing and waiting included.
+            service, fingerprinting, queueing and waiting included
+            (:meth:`PlanService.plan_prepared` callers fingerprint
+            before the clock starts).
         optimize_seconds: time the underlying optimization itself took
             (the cached value for hits; the fallback's time when
             degraded).
@@ -156,6 +163,20 @@ class _CacheEntry:
         return self.canonical_plans[0]
 
 
+@dataclass(frozen=True, slots=True)
+class _ExactHit:
+    """What the exact-instance table remembers about one request.
+
+    ``plan`` is ``entry``'s rank-1 plan translated into the request's
+    numbering and names; it is served again only while the cache still
+    returns this very ``entry`` object for the request.
+    """
+
+    fingerprint: Fingerprint
+    entry: _CacheEntry = field(repr=False)
+    plan: JoinTree = field(repr=False)
+
+
 class PlanService:
     """Long-lived plan-caching optimizer service.
 
@@ -173,6 +194,9 @@ class PlanService:
             instead. Either way a cached rank-2 plan, when retained
             (``k_best >= 2``), is preferred over recomputing.
         cache_capacity / ttl_seconds: plan cache bounds.
+            ``cache_capacity`` also bounds the exact-instance table
+            (see :meth:`plan_request`), which drops its oldest entry
+            first; the cache alone decides hits, TTL and LRU order.
         cache_shards: independent lock domains the cache is split over
             (consistent hashing; see
             :class:`~repro.service.sharding.ShardedPlanCache`). ``1``
@@ -197,7 +221,10 @@ class PlanService:
             not carry their own; ``None`` means unbounded. A deadline
             is a *wall-clock request budget*: fingerprinting, cache
             waits, pool queueing and fault retries all draw from it,
-            and expiry degrades to the fallback heuristic.
+            and expiry degrades to the fallback heuristic. The clock
+            starts when :meth:`plan_request` opens the request span,
+            before the exact-instance lookup; ``elapsed_seconds``
+            counts from the same instant.
         max_retries: re-submissions after a worker-process fault
             (``BrokenProcessPool``) before the request degrades to
             in-process planning; ``0`` fails over immediately.
@@ -288,6 +315,12 @@ class PlanService:
         self._fp_index: dict[str, str] = {}
         self._fp_index_lock = threading.Lock()
         self._fp_index_capacity = max(4 * cache_capacity, 1024)
+        # (graph, cardinalities) -> _ExactHit, in insertion order so the
+        # oldest entry goes first. Reads are single dict lookups; writes
+        # take the lock.
+        self._exact: dict[tuple, _ExactHit] = {}
+        self._exact_lock = threading.Lock()
+        self._exact_capacity = cache_capacity
         self._metrics = MetricsRegistry(
             counters=self._obs.counters, histograms=self._obs.histograms
         )
@@ -385,9 +418,24 @@ class PlanService:
         )
 
     def plan_request(self, request: PlanRequest) -> PlanResponse:
-        """Plan one :class:`PlanRequest` through cache, pool and deadline."""
-        fingerprint = self.fingerprint_of(request.graph, request.catalog)
-        return self.plan_prepared(request, fingerprint)
+        """Plan one :class:`PlanRequest` through cache, pool and deadline.
+
+        The request's clock and ``service.request`` span start first.
+        Then the exact-instance table is probed with the key
+        ``(graph, cardinalities)`` — the graph's names, edges and raw
+        selectivities and the catalog's cardinalities, in the request's
+        own numbering. These are every input of the fingerprint, so a
+        table hit reuses the stored :class:`Fingerprint`; a miss
+        fingerprints in a ``service.fingerprint`` child span. The cache
+        lookup always runs, so TTL, LRU order, eviction,
+        :meth:`clear_cache` and the cache counters behave the same
+        either way. When the cache returns the entry the table
+        remembers, the stored plan is served without relabelling. A
+        renumbered or renamed copy of a query, or statistics that differ
+        only below the quantization digits, misses the table and shares
+        the cache entry through the fingerprint as before.
+        """
+        return self._serve(request, None)
 
     def submit_request(self, request: PlanRequest) -> "Future[PlanResponse]":
         """Plan asynchronously; returns a future for the response.
@@ -434,7 +482,18 @@ class PlanService:
 
         This is the batch layer's entry point — it fingerprints every
         request up front to group duplicates, then feeds each group
-        through here without paying for a second canonicalization.
+        through here without paying for a second canonicalization. It
+        never consults the exact-instance table.
+        """
+        return self._serve(request, fingerprint)
+
+    def _serve(
+        self, request: PlanRequest, fingerprint: Fingerprint | None
+    ) -> PlanResponse:
+        """Open the request span, start the clock, run the pipeline.
+
+        ``fingerprint`` is ``None`` on the :meth:`plan_request` path,
+        which looks the request up in the exact-instance table.
         """
         if self._closed.is_set():
             raise ServiceError("the plan service is closed")
@@ -443,7 +502,8 @@ class PlanService:
             algorithm=request.algorithm or self._algorithm,
             n_relations=request.graph.n_relations,
         ) as span:
-            response = self._plan_under_span(request, fingerprint)
+            started = time.perf_counter()
+            response = self._plan_under_span(request, fingerprint, started)
             if span is not None:
                 span.attributes["outcome"] = (
                     "degraded"
@@ -454,10 +514,27 @@ class PlanService:
             return response
 
     def _plan_under_span(
-        self, request: PlanRequest, fingerprint: Fingerprint
+        self,
+        request: PlanRequest,
+        fingerprint: Fingerprint | None,
+        started: float,
     ) -> PlanResponse:
-        """The request pipeline proper (cache → pool → deadline)."""
-        started = time.perf_counter()
+        """The request pipeline proper (exact table → cache → pool →
+        deadline)."""
+        exact_key: tuple | None = None
+        remembered: _ExactHit | None = None
+        if fingerprint is None:
+            catalog = request.catalog
+            exact_key = (
+                request.graph,
+                None if catalog is None else catalog.cardinalities(),
+            )
+            remembered = self._exact.get(exact_key)
+            if remembered is not None:
+                fingerprint = remembered.fingerprint
+            else:
+                with self._obs.span("service.fingerprint"):
+                    fingerprint = self.fingerprint_of(request.graph, catalog)
         self._metrics.counter("requests").increment()
         algorithm = request.algorithm or self._algorithm
         if algorithm not in ALGORITHMS:
@@ -478,7 +555,7 @@ class PlanService:
             entry: _CacheEntry = payload
             self._metrics.counter("cache_hits").increment()
             return self._respond(
-                request, fingerprint, entry, started, cache_hit=True
+                request, fingerprint, entry, started, True, exact_key, remembered
             )
 
         if status == "leader":
@@ -532,9 +609,11 @@ class PlanService:
             # The done-callback stores the entry; count the outcome as a
             # fresh optimization for this response.
             return self._respond(
-                request, fingerprint, entry, started, cache_hit=False
+                request, fingerprint, entry, started, False, exact_key, remembered
             )
-        return self._respond(request, fingerprint, entry, started, cache_hit=True)
+        return self._respond(
+            request, fingerprint, entry, started, True, exact_key, remembered
+        )
 
     def _optimize_canonical(
         self,
@@ -658,6 +737,15 @@ class PlanService:
             while len(self._fp_index) > self._fp_index_capacity:
                 self._fp_index.pop(next(iter(self._fp_index)))
 
+    def _remember_exact(self, exact_key: tuple, hit: _ExactHit) -> None:
+        """Store ``hit`` as the newest exact-table entry; drop the oldest
+        past ``cache_capacity``."""
+        with self._exact_lock:
+            self._exact.pop(exact_key, None)
+            self._exact[exact_key] = hit
+            while len(self._exact) > self._exact_capacity:
+                self._exact.pop(next(iter(self._exact)))
+
     def _respond(
         self,
         request: PlanRequest,
@@ -665,14 +753,30 @@ class PlanService:
         entry: _CacheEntry,
         started: float,
         cache_hit: bool,
+        exact_key: tuple | None = None,
+        remembered: _ExactHit | None = None,
     ) -> PlanResponse:
-        """Translate a canonical cache entry into the request's numbering."""
-        with self._obs.span("service.relabel"):
-            plan = relabel_plan(
-                entry.canonical_plan,
-                fingerprint.old_of_new,
-                names=request.graph.names,
-            )
+        """Translate a canonical cache entry into the request's numbering.
+
+        ``remembered`` is what the exact-instance table held for
+        ``exact_key`` (``None`` on a table miss); its plan is reused
+        when the cache served the same entry object. Otherwise the
+        plan is relabelled and, on the :meth:`plan_request` path
+        (``exact_key`` given), remembered.
+        """
+        if remembered is not None and remembered.entry is entry:
+            plan = remembered.plan
+        else:
+            with self._obs.span("service.relabel"):
+                plan = relabel_plan(
+                    entry.canonical_plan,
+                    fingerprint.old_of_new,
+                    names=request.graph.names,
+                )
+            if exact_key is not None:
+                self._remember_exact(
+                    exact_key, _ExactHit(fingerprint, entry, plan)
+                )
         elapsed = time.perf_counter() - started
         self._metrics.histogram("plan_latency").observe(elapsed)
         return PlanResponse(
@@ -875,8 +979,11 @@ class PlanService:
         return self._cache.shard_stats()
 
     def clear_cache(self) -> None:
-        """Drop every cached plan (counters are preserved)."""
+        """Drop every cached plan, the exact-instance table's included
+        (counters are preserved)."""
         self._cache.clear()
+        with self._exact_lock:
+            self._exact.clear()
 
     def export_cache(self) -> list[dict]:
         """Snapshot every live cache entry as JSON-ready records.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import bitset
@@ -97,6 +99,27 @@ class TestConstruction:
         assert path4() == path4()
         assert hash(path4()) == hash(path4())
         assert path4() != QueryGraph(4, [(0, 1), (1, 2)])
+        # Built separately, from different edge orders and forms.
+        first = QueryGraph(3, [(0, 1, 0.5), (2, 1, 0.25)], names=["a", "b", "c"])
+        second = QueryGraph(
+            3, [JoinEdge(1, 2, 0.25), JoinEdge(1, 0, 0.5)], names=("a", "b", "c")
+        )
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        # The hash is cached, and stays the same on every call.
+        assert len({hash(first) for _ in range(3)}) == 1
+
+    def test_pickle_round_trip_carries_no_cached_state(self):
+        graph = QueryGraph(3, [(0, 1, 0.5), (1, 2, 0.25, "b.x = c.x")])
+        before = pickle.dumps(graph)
+        hash(graph)
+        assert graph.is_connected
+        # String hashes are salted per process: caching the hash must
+        # not change what travels to a worker process.
+        assert pickle.dumps(graph) == before
+        restored = pickle.loads(before)
+        assert restored == graph and hash(restored) == hash(graph)
+        assert restored.neighbor_masks == graph.neighbor_masks
 
     def test_repr(self):
         assert "4" in repr(path4())
