@@ -112,7 +112,13 @@ class IterativeDP(JoinOrderer):
 
         Keys are working-node bitsets; values are original-space trees
         (the leaves of working nodes are their committed subplans), so
-        pricing happens directly with the caller's cost model.
+        pricing happens directly with the caller's cost model. The
+        enumeration keys plans by BFS-numbered masks; the table is
+        translated to working masks once, in insertion order, so the
+        caller's ``min`` over blocks still breaks ties by the first
+        block the enumeration reached. Each orientation is priced
+        without building a tree, and a tree is built only when it beats
+        the incumbent.
         """
         if graph.is_bfs_numbered():
             numbered, order = graph, list(range(graph.n_relations))
@@ -121,15 +127,16 @@ class IterativeDP(JoinOrderer):
         bit_map = [bitset.bit(old) for old in order]
 
         plans: dict[int, JoinTree] = {
-            bitset.bit(index): plan for index, plan in enumerate(node_plans)
+            bitset.bit(position): node_plans[old]
+            for position, old in enumerate(order)
         }
 
         symmetric = model.symmetric
+        price = model.price
+        join = JoinTree.join
         for left, right in enumerate_csg_cmp_pairs(
             numbered, trust_numbering=True, max_union_size=cap
         ):
-            left = _translate(left, bit_map)
-            right = _translate(right, bit_map)
             counters.inner_counter += 1
             counters.ono_lohman_counter += 1
             counters.csg_cmp_pair_counter += 2
@@ -138,16 +145,18 @@ class IterativeDP(JoinOrderer):
             combined = left | right
             incumbent = plans.get(combined)
             counters.create_join_tree_calls += 1
-            candidate = model.join(plan_left, plan_right)
-            if incumbent is None or candidate.cost < incumbent.cost:
-                plans[combined] = candidate
-                incumbent = candidate
+            cardinality, cost, operator = price(plan_left, plan_right)
+            if incumbent is None or cost < incumbent.cost:
+                incumbent = join(plan_left, plan_right, cardinality, cost, operator)
+                plans[combined] = incumbent
             if not symmetric:
                 counters.create_join_tree_calls += 1
-                candidate = model.join(plan_right, plan_left)
-                if candidate.cost < incumbent.cost:
-                    plans[combined] = candidate
-        return plans
+                cardinality, cost, operator = price(plan_right, plan_left)
+                if cost < incumbent.cost:
+                    plans[combined] = join(
+                        plan_right, plan_left, cardinality, cost, operator
+                    )
+        return {_translate(mask, bit_map): plan for mask, plan in plans.items()}
 
     # ------------------------------------------------------------------
     # Graph contraction around a committed block

@@ -20,7 +20,8 @@ tree) is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 
 from repro.core.base import CounterSet, JoinOrderer, PlanTable
 from repro.cost.base import CostModel
@@ -38,16 +39,17 @@ class _Module:
     """A maximal run of relations committed to appear consecutively.
 
     ``t`` is the multiplicative size factor (product of ``s_i * n_i``),
-    ``c`` the additive ASI cost of the run.
+    ``c`` the additive ASI cost of the run, and ``rank`` the ASI rank
+    the chains are ordered by, computed once at construction.
     """
 
     indices: list[int]
     t: float
     c: float
+    rank: float = field(init=False)
 
-    @property
-    def rank(self) -> float:
-        """ASI rank ``(T - 1) / C``; modules are ordered by this.
+    def __post_init__(self) -> None:
+        """Set the ASI rank ``(T - 1) / C``.
 
         Zero-cost modules (``C == 0``) have no finite ratio; the
         standard treatment orders them by the sign of ``T - 1``, the
@@ -61,11 +63,13 @@ class _Module:
         """
         if self.c == 0:
             if self.t > 1.0:
-                return float("inf")
-            if self.t < 1.0:
-                return float("-inf")
-            return 0.0
-        return (self.t - 1.0) / self.c
+                self.rank = float("inf")
+            elif self.t < 1.0:
+                self.rank = float("-inf")
+            else:
+                self.rank = 0.0
+        else:
+            self.rank = (self.t - 1.0) / self.c
 
     def fuse(self, successor: "_Module") -> "_Module":
         """Combine with a module that must directly follow this one."""
@@ -89,8 +93,9 @@ def _normalize(chain: list[_Module]) -> list[_Module]:
 
 def _merge_by_rank(chains: list[list[_Module]]) -> list[_Module]:
     """Merge rank-ascending chains into one rank-ascending chain."""
-    import heapq
-
+    if len(chains) == 1:
+        # A one-chain merge is the identity; skip the heap.
+        return chains[0]
     heap: list[tuple[float, int, int]] = []
     for chain_id, chain in enumerate(chains):
         if chain:

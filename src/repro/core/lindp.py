@@ -2,9 +2,9 @@
 
 Every exact enumerator in this repo hits the paper's ~20-relation wall,
 because the number of connected subgraphs (and so the ``BestPlan``
-table) grows exponentially. The "Adaptive Optimization of Very Large
-Join Queries" line of work (Neumann & Radke, see PAPERS.md) shows the
-escape hatch this module implements:
+table) grows exponentially. Neumann & Radke, "Adaptive Optimization of
+Very Large Join Queries" (SIGMOD 2018), show the escape hatch this
+module implements:
 
 1. **Linearize.** IKKBZ's ASI rank ordering — optimal for *left-deep*
    plans on acyclic graphs — fixes a left-to-right sequence of the
@@ -270,34 +270,44 @@ class LinDP(JoinOrderer):
         leaves = [cost_model.leaf(index) for index in range(graph.n_relations)]
         masks, nbs, cards = self._prefix_tables(graph, order, leaves, True)
         inf = float("inf")
-        costs = [[inf] * n for _ in range(n)]
+        # lefts[i] lists (k, costs[i][k]) for every k whose interval
+        # [i..k] has a finite cost, ascending in k. Spans grow, so when
+        # [i..j] is swept it holds exactly the finite left halves with
+        # k in [i, j-1]. Right halves [k+1..j] are read down column j.
+        lefts: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        cost_cols = [[inf] * n for _ in range(n)]
+        mask_cols = [list(column) for column in zip(*masks)]
         splits = [[-1] * n for _ in range(n)]
         for i in range(n):
-            costs[i][i] = leaves[order[i]].cost
+            leaf_cost = leaves[order[i]].cost
+            cost_cols[i][i] = leaf_cost
+            if not isinf(leaf_cost):
+                lefts[i].append((i, leaf_cost))
         splits_checked = 0
         for span in range(2, n + 1):
             for i in range(n - span + 1):
                 j = i + span - 1
                 best = inf
                 best_split = -1
-                costs_i, nbs_i = costs[i], nbs[i]
-                for k in range(i, j):
-                    left_cost = costs_i[k]
-                    if isinf(left_cost):
-                        continue
-                    right_cost = costs[k + 1][j]
+                nbs_i = nbs[i]
+                costs_j, masks_j = cost_cols[j], mask_cols[j]
+                for k, left_cost in lefts[i]:
+                    right_cost = costs_j[k + 1]
                     if isinf(right_cost):
                         continue
                     splits_checked += 1
-                    if not nbs_i[k] & masks[k + 1][j]:
+                    if not nbs_i[k] & masks_j[k + 1]:
                         continue
                     total = left_cost + right_cost
                     if total < best:
                         best = total
                         best_split = k
                 if best_split >= 0:
-                    costs[i][j] = best + cards[i][j]
+                    cost = best + cards[i][j]
+                    costs_j[i] = cost
                     splits[i][j] = best_split
+                    if not isinf(cost):
+                        lefts[i].append((j, cost))
         counters.inner_counter += splits_checked
         counters.extra["lindp_splits"] = (
             counters.extra.get("lindp_splits", 0) + splits_checked

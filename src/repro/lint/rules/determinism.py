@@ -1,8 +1,8 @@
 """Determinism rules: unordered iteration must never reach plan state.
 
 The repo's headline guarantee is *bit-identical plans across
-backends*: sequential DPsize, the sharded parallel engine, and the
-DPconv lattice sweep must produce the same plan, cost, and paper
+backends*: DPsize, DPccp, and the DPconv lattice sweep, in process or
+on a planning-pool worker, must produce the same plan, cost, and paper
 counters (the counter formulas of Moerkotte & Neumann are the ground
 truth), and relabeled twins must map to the same fingerprint. A
 single ``for x in some_set`` on one of those paths breaks the
