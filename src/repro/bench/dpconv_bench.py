@@ -5,9 +5,11 @@ trajectories of :class:`~repro.core.dpconv.DPconv` (both sweep backends)
 against DPsize, DPsub and DPccp on the paper's clique/star/chain
 workloads, so the size at which the subset-convolution enumerator
 overtakes per-pair dynamic programming is a *measured crossover*, not a
-claim. Every DPconv measurement is verified against DPsub's optimal
-cost before its time is recorded — a speedup over a wrong plan is not a
-speedup.
+claim. Every DPconv measurement is verified against the optimal cost
+of every reference enumerator that ran on its cell (DPsize, DPsub and
+DPccp are all exact) — a speedup over a wrong plan is not a speedup. A
+cell where all three were skipped over budget records ``exact: null``:
+it is unverified, and stays out of the crossover.
 
 Reference enumerators whose previous cell already exceeded the
 per-cell time budget are skipped with a reason; the numpy backend is
@@ -139,7 +141,7 @@ def run_dpconv_trajectory(
             catalog = random_catalog(n, rng)
 
             runs: dict[str, dict] = {}
-            reference_cost = None
+            reference_costs: list[float] = []
             for name, engine in references.items():
                 if name in over_budget:
                     runs[name] = {
@@ -150,16 +152,16 @@ def run_dpconv_trajectory(
                     continue
                 seconds, cost = _time_optimize(engine, graph, catalog, repeats)
                 runs[name] = {"seconds": seconds, "cost": cost}
-                if name == "DPsub":
-                    reference_cost = cost
+                reference_costs.append(cost)
                 if seconds > cell_budget_seconds:
                     over_budget.add(name)
             for name, engine in contenders.items():
                 seconds, cost = _time_optimize(engine, graph, catalog, repeats)
-                exact = reference_cost is None or math.isclose(
-                    cost, reference_cost, rel_tol=1e-9
-                )
-                runs[name] = {"seconds": seconds, "cost": cost, "exact": exact}
+                runs[name] = {
+                    "seconds": seconds,
+                    "cost": cost,
+                    "exact": _verdict(cost, reference_costs),
+                }
             if numpy_version is None:
                 runs["dpconv-numpy"] = {
                     "skipped": "numpy is not importable on this host"
@@ -180,6 +182,20 @@ def run_dpconv_trajectory(
         "entries": entries,
         "crossover": crossover,
     }
+
+
+def _verdict(cost: float, reference_costs: list[float]) -> bool | None:
+    """Whether ``cost`` matches every exact reference that ran.
+
+    ``None`` when none ran (all over budget): the cell is unverified,
+    not exact.
+    """
+    if not reference_costs:
+        return None
+    return all(
+        math.isclose(cost, reference, rel_tol=1e-9)
+        for reference in reference_costs
+    )
 
 
 def _best_dpconv_seconds(runs: dict) -> float | None:
@@ -235,6 +251,10 @@ def _crossover_finding(topology: str, entries: list[dict]) -> dict:
     return {"crossover_n": crossover_n, "finding": finding}
 
 
+#: Table suffix per ``exact`` verdict (references carry none).
+_MARKS = {True: "", False: " (INEXACT)", None: " (unverified)"}
+
+
 def render_dpconv_bench(results: dict) -> str:
     """Monospace table view of :func:`run_dpconv_trajectory` results."""
     from repro.bench.reporting import render_table
@@ -250,7 +270,7 @@ def render_dpconv_bench(results: dict) -> str:
             if run is None or "skipped" in run:
                 row.append("skip")
             else:
-                mark = "" if run.get("exact", True) else " (INEXACT)"
+                mark = _MARKS[run.get("exact", True)]
                 row.append(f"{run['seconds']:.4f}{mark}")
         rows.append(row)
     numpy_version = results.get("numpy") or "absent"
@@ -277,6 +297,15 @@ def write_dpconv_bench(path: str | Path, results: dict) -> Path:
     path = Path(path)
     path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _cells_with_verdict(results: dict, verdict: bool | None) -> list[str]:
+    return [
+        f"{entry['topology']} n={entry['n']} {name}"
+        for entry in results["entries"]
+        for name, run in entry["runs"].items()
+        if "seconds" in run and run.get("exact", True) is verdict
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,12 +339,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.json_out:
         path = write_dpconv_bench(args.json_out, results)
         print(f"wrote {path}")
-    inexact = [
-        f"{entry['topology']} n={entry['n']} {name}"
-        for entry in results["entries"]
-        for name, run in entry["runs"].items()
-        if "seconds" in run and not run.get("exact", True)
-    ]
+    unverified = _cells_with_verdict(results, None)
+    if unverified:
+        print(
+            "unverified dpconv results (no reference ran): "
+            + "; ".join(unverified)
+        )
+    inexact = _cells_with_verdict(results, False)
     if inexact:
         print("INEXACT dpconv results: " + "; ".join(inexact))
         return 1

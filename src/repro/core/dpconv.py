@@ -27,11 +27,14 @@ with connectivity memoized by the paper's Lemma 5 recurrence.
 Two interchangeable sweep backends fill the lattice:
 
 * ``numpy`` — per layer, the candidate costs of *all* connected sets
-  are evaluated simultaneously: the splits of a size-``k`` layer are
-  walked in Gray-code order (one vectorized XOR moves every set to its
-  next split), and each state costs a handful of whole-layer array
-  operations (gather + add + compare). The Python interpreter executes
-  O(2^n) steps instead of O(3^n).
+  are evaluated in one pass: each set's ``2^(k-1)`` left halves form a
+  row of a (sets × splits) matrix in Gray-code order, built by one
+  ``bitwise_xor.accumulate``, and a fixed handful of whole-matrix
+  operations (gather + add + argmin) prices and reduces them, in row
+  chunks of bounded size. The connectivity and cardinality tables are
+  built the same way, per layer and per lowest relation. The Python
+  interpreter executes O(n) steps per layer and chunk instead of one
+  per split.
 * ``python`` — pure stdlib (``array`` cost tables, Vance-Maier submask
   enumeration); same tables, same counters, no dependencies.
 
@@ -53,6 +56,8 @@ the DPconv-specific accounting the obs layer publishes as
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
+from math import comb
 
 from repro import bitset
 from repro.core.base import CounterSet, JoinOrderer, PlanTable
@@ -69,10 +74,20 @@ __all__ = ["DPconv", "MAX_RELATIONS", "DEFAULT_VECTOR_MIN_RELATIONS"]
 MAX_RELATIONS = 22
 
 #: Below this many relations the ``auto`` backend stays pure-Python:
-#: the per-layer numpy dispatch overhead exceeds the whole enumeration.
+#: the numpy sweep's fixed cost (a few dozen numpy calls per layer)
+#: exceeds the whole stdlib enumeration. On a 2-vCPU x86-64 host with
+#: CPython 3.11 and numpy 2.4, numpy first wins on a clique at 8
+#: relations (about 1.2x), on stars and cycles at 9, on chains at 10.
 DEFAULT_VECTOR_MIN_RELATIONS = 8
 
 _BACKENDS = ("auto", "numpy", "python")
+
+#: The numpy backend works through a layer in chunks of rows holding
+#: at most this many slots — (set, split) pairs in the sweep, (set,
+#: member) pairs in the connectivity table — so each chunk's matrices
+#: stay cache-sized however large the layer. 2^14 to 2^15 ran fastest
+#: on cliques and stars of 12-16 relations; 2^17 was 1.5x slower.
+_CHUNK_SLOTS = 1 << 14
 
 
 def _numpy_module():
@@ -155,7 +170,6 @@ class DPconv(JoinOrderer):
                 "IDP/GOO beyond exact DP)"
             )
         counters.extra["lattice_passes"] = 0
-        connected = _connectivity_table(graph, counters)
         separable = (
             cost_model.symmetric
             and cost_model.separable_join_operator is not None
@@ -164,6 +178,7 @@ class DPconv(JoinOrderer):
             # The value DP needs cost(S) = h(S) + cost(T) + cost(S\T);
             # models outside that shape get the priced layered sweep —
             # identical search space and counters, per-pair pricing.
+            connected = _connectivity_table(graph, counters)
             counters.extra["vectorized"] = 0
             self._run_priced(cost_model, table, counters, connected, n)
             counters.extra["convolution_pairs"] = counters.inner_counter
@@ -171,13 +186,16 @@ class DPconv(JoinOrderer):
 
         numpy = self._resolve_numpy(n)
         counters.extra["vectorized"] = 1 if numpy else 0
-        h = _cardinality_table(graph, cost_model, n)
         leaf_costs = [table[1 << index].cost for index in range(n)]
         if numpy is not None:
+            connected = _connectivity_numpy(numpy, graph, counters)
+            h = _cardinality_numpy(numpy, cost_model, n)
             dp, split = _sweep_numpy(
                 numpy, n, connected, h, leaf_costs, counters
             )
         else:
+            connected = _connectivity_table(graph, counters)
+            h = _cardinality_table(graph, cost_model, n)
             dp, split = _sweep_python(n, connected, h, leaf_costs, counters)
         del dp  # the reconstruction re-prices the winning splits
         counters.csg_cmp_pair_counter = 2 * counters.ono_lohman_counter
@@ -305,17 +323,7 @@ def _cardinality_table(
     estimator (the refined instance, when a statistics estimator is in
     play), which is exactly what pricing the reconstruction uses.
     """
-    estimator = cost_model.estimator
-    cost_graph = cost_model.graph
-    incidence: list[tuple[tuple[int, float], ...]] = []
-    for vertex in range(n):
-        pairs = []
-        for edge in cost_graph.edges_of(vertex):
-            other = edge.right if edge.left == vertex else edge.left
-            pairs.append((1 << other, edge.selectivity))
-        incidence.append(tuple(pairs))
-    base = [float(estimator.base_cardinality(vertex)) for vertex in range(n)]
-
+    base, incidence = _join_factors(cost_model, n)
     total = 1 << n
     h = array("d", bytes(8 * total))
     h[0] = 1.0
@@ -329,6 +337,108 @@ def _cardinality_table(
                 value *= selectivity
         h[mask] = value
     return h
+
+
+def _join_factors(
+    cost_model: CostModel, n: int
+) -> tuple[list[float], list[tuple[tuple[int, float], ...]]]:
+    """Base cardinality and ``(neighbour bit, selectivity)`` per relation."""
+    estimator = cost_model.estimator
+    cost_graph = cost_model.graph
+    incidence: list[tuple[tuple[int, float], ...]] = []
+    for vertex in range(n):
+        pairs = []
+        for edge in cost_graph.edges_of(vertex):
+            other = edge.right if edge.left == vertex else edge.left
+            pairs.append((1 << other, edge.selectivity))
+        incidence.append(tuple(pairs))
+    base = [float(estimator.base_cardinality(vertex)) for vertex in range(n)]
+    return base, incidence
+
+
+def _masks_by_size(numpy, n: int):
+    """Popcount of every mask, all masks sorted by it, and layer starts.
+
+    ``order[starts[k]:starts[k + 1]]`` lists the ``k``-relation sets in
+    ascending order — the order :func:`repro.bitset.iter_layer` yields.
+    """
+    np = numpy
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for bit in range(n):
+        sizes[1 << bit : 2 << bit] = sizes[: 1 << bit] + 1
+    order = np.argsort(sizes, kind="stable")
+    starts = list(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
+    return sizes, order, starts
+
+
+def _low_bits(numpy, masks, k: int):
+    """(rows × k) matrix: each ``k``-bit mask's set bits, lowest first."""
+    rest = masks.copy()
+    bits = numpy.empty((len(masks), k), dtype=numpy.int64)
+    for column in range(k):
+        low = rest & -rest
+        bits[:, column] = low
+        rest ^= low
+    return bits
+
+
+def _connectivity_numpy(
+    numpy, graph: QueryGraph, counters: CounterSet
+) -> bytearray:
+    """:func:`_connectivity_table` one lattice layer at a time.
+
+    A set is connected when removing some member leaves a connected
+    set that the member has an edge into (Lemma 5); each layer tests
+    every member of every set at once, reading only smaller layers.
+    """
+    np = numpy
+    n = graph.n_relations
+    total = 1 << n
+    neighbors = np.array(graph.neighbor_masks, dtype=np.int64)
+    connected = np.zeros(total, dtype=bool)
+    connected[np.int64(1) << np.arange(n, dtype=np.int64)] = True
+    sizes, order, starts = _masks_by_size(np, n)
+    for k in range(2, n + 1):
+        layer = order[starts[k] : starts[k + 1]]
+        rows = max(1, _CHUNK_SLOTS // k)
+        for first in range(0, len(layer), rows):
+            masks = layer[first : first + rows]
+            bits = _low_bits(np, masks, k)
+            without = masks[:, None] ^ bits
+            vertex = sizes[bits - 1]  # a bit's index is popcount(bit - 1)
+            joined = (neighbors[vertex] & without) != 0
+            connected[masks] = (connected[without] & joined).any(axis=1)
+    counters.connectivity_check_failures += (
+        total - 1 - int(np.count_nonzero(connected))
+    )
+    return bytearray(connected.tobytes())
+
+
+def _cardinality_numpy(numpy, cost_model: CostModel, n: int) -> array:
+    """:func:`_cardinality_table` one lowest-bit relation at a time.
+
+    The sets whose lowest relation is ``v`` are the stride-``2^(v+1)``
+    slice from ``2^v``; their ``S \\ {v}`` are the slice from 0, whose
+    lowest relations are above ``v`` and so already filled. Each value
+    takes the same float64 products in the same order as the stdlib
+    table, so the two tables are bit-identical.
+    """
+    np = numpy
+    base, incidence = _join_factors(cost_model, n)
+    total = 1 << n
+    h = np.empty(total, dtype=np.float64)
+    h[0] = 1.0
+    with np.errstate(over="ignore"):  # inf, as Python float products give
+        for vertex in reversed(range(n)):
+            stride = 2 << vertex
+            value = h[::stride] * base[vertex]
+            rest = np.arange(0, total, stride, dtype=np.int64)
+            for other_bit, selectivity in incidence[vertex]:
+                if other_bit > 1 << vertex:  # only higher relations are in rest
+                    hit = (rest & other_bit) != 0
+                    np.multiply(value, selectivity, out=value, where=hit)
+            h[1 << vertex :: stride] = value
+    return array("d", h.tobytes())
 
 
 # ----------------------------------------------------------------------
@@ -388,16 +498,15 @@ def _sweep_numpy(
     leaf_costs: list[float],
     counters: CounterSet,
 ):
-    """Vectorized lattice sweep: Gray-code split walk per layer.
+    """Vectorized lattice sweep: each layer's splits as one matrix.
 
-    For layer ``k`` the proper splits of every connected set are
-    visited simultaneously: ``left`` holds each set's current split
-    (always containing the set's lowest bit, so each unordered pair is
-    seen once), and one whole-layer XOR against the precomputed bit
-    column advances every set to its next split in Gray-code order.
-    Candidate costs are two gathers and an add; disconnected sides
-    carry ``inf`` in ``dp``, so no masking is needed for the minimum —
-    validity is consulted only for the csg-cmp-pair counter.
+    For layer ``k`` every connected set gets a row of its ``2^(k-1)``
+    left halves in Gray-code order (see :func:`_best_splits`), and each
+    chunk of rows is priced, counted and reduced by a fixed handful of
+    whole-matrix operations, so the interpreter runs O(n) steps per
+    layer and chunk instead of one per split. Rows go in chunks of at
+    most :data:`_CHUNK_SLOTS` halves, so the matrices stay cache-sized
+    on any layer.
 
     Arithmetic is float64 addition in the same order as the Python
     sweep, so both backends produce the identical cost table.
@@ -412,35 +521,62 @@ def _sweep_numpy(
     split = np.zeros(total, dtype=np.int64)
     inner = 0
     valid_pairs = 0
-    positions = np.arange(n, dtype=np.int64)
-    for k in range(2, n + 1):
-        counters.extra["lattice_passes"] += 1
-        masks = [mask for mask in bitset.iter_layer(n, k) if connected[mask]]
-        if not masks:
-            continue
-        m = len(masks)
-        masks_a = np.array(masks, dtype=np.int64)
-        # cols[j]: the j-th lowest set bit of every mask in the layer.
-        bit_rows = np.nonzero((masks_a[:, None] >> positions) & 1)[1]
-        cols = (np.int64(1) << bit_rows.reshape(m, k)).T.copy()
-
-        left = cols[0].copy()  # Gray-code state: {min(S)} plus selector
-        best = np.full(m, np.inf, dtype=np.float64)
-        best_left = np.zeros(m, dtype=np.int64)
-        states = 1 << (k - 1)
-        inner += m * (states - 1)
-        for step in range(states):
-            if step:
-                flip = (step & -step).bit_length()  # selector bit -> cols[1..]
-                np.bitwise_xor(left, cols[flip], out=left)
-            right = np.bitwise_xor(masks_a, left)
-            valid_pairs += int(np.count_nonzero(conn[left] & conn[right]))
-            candidate = dp[left] + dp[right]
-            improved = candidate < best
-            np.copyto(best, candidate, where=improved)
-            np.copyto(best_left, left, where=improved)
-        dp[masks_a] = best + harr[masks_a]
-        split[masks_a] = best_left
+    sizes, order, starts = _masks_by_size(np, n)
+    # toggled[s]: the bit column Gray-code step s flips, ctz(s) + 1;
+    # step 0 seeds each half with the set's lowest bit (column 0).
+    steps = np.arange(total >> 1, dtype=np.int64)
+    toggled = sizes[(steps & -steps) - 1].astype(np.intp) + 1
+    toggled[0] = 0
+    with np.errstate(over="ignore"):  # inf, as Python float addition gives
+        for k in range(2, n + 1):
+            counters.extra["lattice_passes"] += 1
+            layer = order[starts[k] : starts[k + 1]]
+            layer = layer[conn[layer]]
+            states = 1 << (k - 1)
+            inner += len(layer) * (states - 1)
+            rows = max(1, _CHUNK_SLOTS // states)
+            for first in range(0, len(layer), rows):
+                masks = layer[first : first + rows]
+                best, best_left, valid = _best_splits(
+                    np, dp, conn, masks, k, toggled
+                )
+                valid_pairs += valid
+                dp[masks] = best + harr[masks]
+                split[masks] = best_left
     counters.inner_counter += inner
     counters.ono_lohman_counter += valid_pairs
     return dp, split
+
+
+def _best_splits(numpy, dp, conn, masks, k: int, toggled):
+    """Cheapest split of each ``k``-set in ``masks``, and the valid pairs.
+
+    Row ``i`` holds the ``2^(k-1)`` left halves of ``masks[i]``: each
+    always holds the set's lowest bit (so each unordered pair is seen
+    once), and step ``s`` toggles bit column ``toggled[s]``, so one
+    ``bitwise_xor.accumulate`` along the row of toggled bits yields
+    every half in the order a split-by-split Gray-code walk visits
+    them. Candidate costs are two gathers and an add; disconnected
+    sides carry ``inf`` in ``dp``, so no masking is needed for the
+    minimum — validity is consulted only for the csg-cmp-pair counter.
+    ``argmin`` keeps each row's first minimum, as the walk's strict
+    ``<`` did; a set with no finite candidate keeps split 0.
+    """
+    np = numpy
+    bits = _low_bits(np, masks, k)
+    left = bits[:, toggled[: 1 << (k - 1)]]
+    np.bitwise_xor.accumulate(left, axis=1, out=left)
+    right = masks[:, None] ^ left
+    valid = int(np.count_nonzero(conn[left] & conn[right]))
+    candidate = dp[left]
+    candidate += dp[right]
+    winner = candidate.argmin(axis=1)[:, None]
+    best = np.take_along_axis(candidate, winner, axis=1)[:, 0]
+    if np.isnan(best).any():
+        # argmin stops at a row's first NaN; a strict < never takes one.
+        candidate[np.isnan(candidate)] = np.inf
+        winner = candidate.argmin(axis=1)[:, None]
+        best = np.take_along_axis(candidate, winner, axis=1)[:, 0]
+    best_left = np.take_along_axis(left, winner, axis=1)[:, 0]
+    best_left[~(best < np.inf)] = 0
+    return best, best_left, valid

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 
+from repro.bench import dpconv_bench
 from repro.bench.dpconv_bench import (
     REFERENCE_ALGORITHMS,
     render_dpconv_bench,
@@ -71,3 +72,39 @@ class TestTrajectory:
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(results)
         )
+
+
+class TestUnverifiedCells:
+    """With no reference left under budget, nothing checks DPconv's cost."""
+
+    def test_cells_without_a_reference_are_unverified(self):
+        results = run_dpconv_trajectory(
+            sizes={"clique": (4, 5)}, seed=11, cell_budget_seconds=0
+        )
+        first, second = results["entries"]
+        for name in REFERENCE_ALGORITHMS:
+            assert "seconds" in first["runs"][name]
+            assert "skipped" in second["runs"][name]
+        for name, run in second["runs"].items():
+            if name.startswith("dpconv") and "seconds" in run:
+                assert run["exact"] is None
+        assert first["runs"]["dpconv-python"]["exact"] is True
+        assert "(unverified)" in render_dpconv_bench(results)
+        assert "(INEXACT)" not in render_dpconv_bench(results)
+
+    def test_main_reports_unverified_not_inexact(self, monkeypatch, capsys):
+        def over_budget(sizes=None, seed=7, repeats=1):
+            return run_dpconv_trajectory(
+                sizes={"clique": (4, 5)}, seed=seed, cell_budget_seconds=0
+            )
+
+        monkeypatch.setattr(dpconv_bench, "run_dpconv_trajectory", over_budget)
+        assert dpconv_bench.main([]) == 0
+        out = capsys.readouterr().out
+        assert "unverified dpconv results (no reference ran): clique n=5" in out
+        assert "INEXACT" not in out
+
+    def test_any_reference_that_ran_checks_the_cost(self):
+        assert dpconv_bench._verdict(10.0, [10.0, 10.0]) is True
+        assert dpconv_bench._verdict(10.0, [10.0, 11.0]) is False
+        assert dpconv_bench._verdict(10.0, []) is None
