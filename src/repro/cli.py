@@ -48,7 +48,7 @@ from repro.bench.reporting import (
 )
 from repro.bench.workloads import DEFAULT_BUDGET
 from repro.catalog.synthetic import random_catalog
-from repro.core import ALGORITHMS, FALLBACK_ALGORITHMS, make_algorithm
+from repro.core import ALGORITHMS, make_algorithm
 from repro.errors import OptimizerError, ReproError
 from repro.graph.generators import PAPER_TOPOLOGIES, graph_for_topology
 from repro.plans.visitors import render_indented
@@ -184,20 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=sorted(ALGORITHMS), default="adaptive"
     )
     serve.add_argument(
-        "--fallback",
-        choices=("ladder", *FALLBACK_ALGORITHMS),
-        default="ladder",
-        help="degraded-request policy: 'ladder' steps down the "
-        "escalation ladder (cached rank-2, then LinDP where "
-        "admissible, then GOO); a fallback algorithm name pins one "
-        "rung",
-    )
-    serve.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
         help="per-request deadline; expired requests degrade down "
-        "the fallback ladder instead of failing",
+        "the escalation ladder (LinDP where admissible, then GOO) "
+        "instead of failing",
     )
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument(
@@ -266,13 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     http_serve.add_argument(
         "--algorithm", choices=sorted(ALGORITHMS), default="adaptive"
-    )
-    http_serve.add_argument(
-        "--fallback",
-        choices=("ladder", *FALLBACK_ALGORITHMS),
-        default="ladder",
-        help="degraded-request policy: 'ladder' steps down the "
-        "escalation ladder; a fallback algorithm name pins one rung",
     )
     http_serve.add_argument("--cache-capacity", type=int, default=1024)
     http_serve.add_argument(
@@ -792,7 +777,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     requests = _build_service_workload(args)
     with PlanService(
         algorithm=args.algorithm,
-        fallback=args.fallback,
         cache_capacity=args.cache_capacity,
         ttl_seconds=args.ttl_seconds,
         workers=args.workers,
@@ -842,7 +826,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     deadline = None if args.deadline_ms is None else args.deadline_ms / 1000.0
     with PlanService(
         algorithm=args.algorithm,
-        fallback=args.fallback,
         cache_capacity=args.cache_capacity,
         cache_shards=args.cache_shards,
         k_best=args.k_best,
@@ -865,7 +848,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         def announce(started: PlanServer) -> None:
             print(
                 f"serving on http://{args.host}:{started.port} — "
-                f"algorithm={args.algorithm}, fallback={args.fallback}, "
+                f"algorithm={args.algorithm}, "
                 f"cache_shards={args.cache_shards}, k_best={args.k_best}, "
                 f"max_inflight={args.max_inflight}"
             )

@@ -61,7 +61,6 @@ __all__ = [
     "LinDP",
     "AdaptiveOptimizer",
     "ALGORITHMS",
-    "FALLBACK_ALGORITHMS",
     "KBestResult",
     "k_best_plans",
     "make_algorithm",
@@ -88,17 +87,6 @@ ALGORITHMS: dict[str, type[JoinOrderer]] = {
     "lindp": LinDP,
     "adaptive": AdaptiveOptimizer,
 }
-
-
-#: Algorithms safe to run under a (near-)expired deadline: each is
-#: polynomial, allocation-light, and produces a valid cross-product-free
-#: bushy tree on any connected graph (which is why IKKBZ, acyclic-only,
-#: is absent; LinDP qualifies because its cyclic fallback linearizes
-#: with GOO/BFS orders). The service layer (:mod:`repro.service`)
-#: restricts its timeout fallback to these — or to the ``"ladder"``
-#: policy, which steps down
-#: :meth:`repro.core.adaptive.AdaptiveOptimizer.degradation_path`.
-FALLBACK_ALGORITHMS: tuple[str, ...] = ("goo", "quickpick", "lindp")
 
 
 def make_algorithm(name: str) -> JoinOrderer:

@@ -218,12 +218,15 @@ class DPconv(JoinOrderer):
 
         Only the winning split per subset is visited, so exactly
         ``n - 1`` joins are priced — the whole point of decoupling the
-        value DP from plan construction.
+        value DP from plan construction. A set whose every split costs
+        inf (estimates past the float range) keeps split 0 in both
+        sweeps; it is split at its first csg-cmp pair instead, which
+        costs inf like any other.
         """
         plan = table.get(mask)
         if plan is not None:
             return plan
-        left_mask = int(split[mask])
+        left_mask = int(split[mask]) or _first_pair(cost_model.graph, mask)
         right_mask = mask ^ left_mask
         left = self._reconstruct(cost_model, table, counters, split, left_mask)
         right = self._reconstruct(cost_model, table, counters, split, right_mask)
@@ -274,6 +277,19 @@ class DPconv(JoinOrderer):
         counters.inner_counter += inner
         counters.ono_lohman_counter += valid_pairs
         counters.csg_cmp_pair_counter = 2 * valid_pairs
+
+
+def _first_pair(graph: QueryGraph, mask: int) -> int:
+    """Left half of the first csg-cmp pair of the connected set ``mask``,
+    in the sweeps' order of halves anchored on its lowest relation."""
+    low = mask & -mask
+    rest = mask ^ low
+    sub = 0
+    while not (
+        graph.is_connected_set(low | sub) and graph.is_connected_set(rest ^ sub)
+    ):
+        sub = (sub - rest) & rest
+    return low | sub
 
 
 # ----------------------------------------------------------------------

@@ -94,8 +94,8 @@ class LintError(ReproError):
 class ServiceError(ReproError):
     """The plan service was misconfigured or misused.
 
-    Raised for invalid service configuration (unknown fallback
-    algorithm, non-positive cache capacity) and for requests submitted
-    to a closed service — never for deadline expiry, which degrades to
-    a heuristic plan instead of failing.
+    Raised for invalid service configuration (unknown algorithm,
+    non-positive cache capacity) and for requests submitted to a
+    closed service — never for deadline expiry, which degrades to a
+    cheaper plan instead of failing.
     """

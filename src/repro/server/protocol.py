@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ServiceError
@@ -234,7 +235,9 @@ def parse_plan_payload(payload: dict) -> dict:
     ``tenant`` (tenant separately consumed by the quota layer).
 
     Raises:
-        ProtocolError: a field has the wrong type (400).
+        ProtocolError: a field has the wrong type, or the deadline is
+            negative or not finite (400). Python's JSON reader accepts
+            ``NaN``, ``Infinity`` and numbers past the float range.
     """
     algorithm = payload.get("algorithm")
     if algorithm is not None and not isinstance(algorithm, str):
@@ -245,11 +248,18 @@ def parse_plan_payload(payload: dict) -> dict:
             raise ProtocolError(
                 400, "bad_field", "deadline_seconds must be a number"
             )
+        try:
+            deadline = float(deadline)
+        except OverflowError:  # an integer past the float range
+            deadline = math.inf
+        if not math.isfinite(deadline):
+            raise ProtocolError(
+                400, "bad_field", "deadline_seconds must be finite"
+            )
         if deadline < 0:
             raise ProtocolError(
                 400, "bad_field", "deadline_seconds must be >= 0"
             )
-        deadline = float(deadline)
     tenant = payload.get("tenant")
     if tenant is not None and not isinstance(tenant, str):
         raise ProtocolError(400, "bad_field", "tenant must be a string")

@@ -18,7 +18,8 @@ retried on a respawned pool (:mod:`repro.parallel.resilience`),
 persistent faults trip a circuit breaker that degrades planning to the
 in-process sequential path, deadlines are wall-clock request budgets
 (cache waits, pool queueing and retries all draw from them), and a
-failed exact optimization answers with the fallback heuristic flagged
+failed exact optimization answers from the degradation sources (a
+cached rank-2 plan, then the ladder's LinDP and GOO rungs) flagged
 ``degraded=True`` — requests degrade, they do not raise.
 
 Quick start::

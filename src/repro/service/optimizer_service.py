@@ -18,34 +18,30 @@ something a query engine can keep resident and hammer:
   concurrent identical misses are **coalesced** into one optimization
   (the cache's stampede guard);
 * every request may carry a **deadline**; when the routed algorithm
-  cannot answer in time the service *degrades* instead of failing — by
-  default it steps down the escalation ladder
-  (:meth:`repro.core.adaptive.AdaptiveOptimizer.degradation_path`:
-  a cached rank-2 plan first, then LinDP while the query is small
-  enough, then GOO), runs the chosen rung on the caller's thread,
-  returns its plan flagged ``degraded=True`` with the serving rung in
-  ``ladder_rung``, and lets the routed optimization finish in the
-  background so the *next* request hits the cache. A fixed heuristic
-  (``fallback="goo"``/``"quickpick"``/``"lindp"``, see
-  :data:`repro.core.FALLBACK_ALGORITHMS`) restores the single-rung
-  behaviour;
+  cannot answer in time (or fails) the service *degrades* instead of
+  failing. It tries one ordered list of sources: the request's own
+  cached **rank-2 plan** when the service retains ranked plans
+  (``k_best >= 2``, see :mod:`repro.core.kbest`), then the rungs of
+  :meth:`repro.core.adaptive.AdaptiveOptimizer.degradation_path`
+  (LinDP while the query is small enough, then GOO), run on the
+  caller's thread. The first source that answers serves the response,
+  flagged ``degraded=True`` with the source in ``ladder_rung``, while
+  the routed optimization finishes in the background so the *next*
+  request hits the cache;
 * the cache can be **sharded** (``cache_shards``) into independent
   lock domains via :class:`~repro.service.sharding.ShardedPlanCache`,
   so concurrent lookups for distinct fingerprints stop contending on
   one lock;
-* the service can retain the **k best plans** per fingerprint
-  (``k_best``, see :mod:`repro.core.kbest`); a deadline-degraded or
-  breaker-open request then serves the cached rank-2 tree — still an
-  optimal-subplans plan, just not the champion — with an explicit
-  ``plan_rank=2`` marker instead of recomputing a greedy fallback;
 * counters and latency histograms record all of the above
   (:class:`~repro.service.metrics.MetricsRegistry`).
 
 Caching never changes what a plan costs: a hit returns a plan with
 exactly the cost a fresh optimization of the cached instance produced.
 The only approximation is the fingerprint's stat quantization — two
-queries whose statistics agree to ``card_digits``/``sel_digits``
-significant digits deliberately share an entry.
+queries whose statistics agree to
+:data:`~repro.service.fingerprint.DEFAULT_CARD_DIGITS` /
+:data:`~repro.service.fingerprint.DEFAULT_SEL_DIGITS` significant
+digits deliberately share an entry.
 """
 
 from __future__ import annotations
@@ -57,17 +53,12 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.core import ALGORITHMS, FALLBACK_ALGORITHMS, make_algorithm
+from repro.core import ALGORITHMS, make_algorithm
 from repro.errors import OptimizerError, PoolBrokenError, ServiceError
 from repro.graph.querygraph import QueryGraph
 from repro.plans.jointree import JoinTree
 from repro.plans.visitors import relabel_plan
-from repro.service.fingerprint import (
-    DEFAULT_CARD_DIGITS,
-    DEFAULT_SEL_DIGITS,
-    Fingerprint,
-    compute_fingerprint,
-)
+from repro.service.fingerprint import Fingerprint, compute_fingerprint
 from repro.obs.instrumentation import Instrumentation
 from repro.service.metrics import MetricsRegistry
 from repro.service.plancache import CacheStats
@@ -103,8 +94,9 @@ class PlanResponse:
         algorithm: name of the algorithm that produced the plan.
         cache_hit: the plan came from the cache or from a computation
             another request had already started.
-        degraded: the deadline expired and ``plan`` is the fallback
-            heuristic's answer, not the exact DP optimum.
+        degraded: the deadline expired (or the routed optimization
+            failed) and ``plan`` came from a degradation source named
+            by ``ladder_rung``, not from the routed optimization.
         fingerprint_key: the request's canonical identity (cache key
             sans algorithm prefix).
         elapsed_seconds: wall-clock time this request spent in the
@@ -112,20 +104,18 @@ class PlanResponse:
             (:meth:`PlanService.plan_prepared` callers fingerprint
             before the clock starts).
         optimize_seconds: time the underlying optimization itself took
-            (the cached value for hits; the fallback's time when
-            degraded).
+            (the cached value for hits and rank-2 answers; the rung's
+            own time when a rung answered).
         error: short description of the exact optimization's failure
             when this response degraded because of one (worker crash,
             optimizer bug) rather than a deadline; ``None`` otherwise.
         plan_rank: which rank of the cached k-best list this plan is.
-            ``1`` for every exact answer (and for heuristic fallbacks,
-            which have no ranked list); ``2`` when a degraded request
-            was answered from the retained rank-2 tree instead of the
-            fallback heuristic.
-        ladder_rung: which rung of the degradation ladder served a
-            ``degraded`` response — ``"rank-2"`` (retained k-best
-            tree), ``"lindp"``, ``"goo"`` or ``"quickpick"``. ``None``
-            for non-degraded responses.
+            ``1`` for every exact answer (and for rung answers, which
+            have no ranked list); ``2`` when a degraded request was
+            answered from the retained rank-2 tree.
+        ladder_rung: which degradation source served a ``degraded``
+            response — ``"rank-2"`` (retained k-best tree), ``"lindp"``
+            or ``"goo"``. ``None`` for non-degraded responses.
     """
 
     plan: JoinTree
@@ -177,6 +167,19 @@ class _ExactHit:
     plan: JoinTree = field(repr=False)
 
 
+def _budget_left(deadline: float | None, started: float) -> float | None:
+    """Seconds left of a request budget that started at ``started``.
+
+    ``None`` means wait without a bound: the request has no deadline,
+    or what is left exceeds :data:`threading.TIMEOUT_MAX`, the longest
+    timeout a wait accepts.
+    """
+    if deadline is None:
+        return None
+    left = max(0.0, deadline - (time.perf_counter() - started))
+    return None if left >= threading.TIMEOUT_MAX else left
+
+
 class PlanService:
     """Long-lived plan-caching optimizer service.
 
@@ -184,15 +187,6 @@ class PlanService:
         algorithm: default algorithm registry name (``adaptive`` picks
             DPsub on near-cliques, DPccp elsewhere — the paper's own
             recommendation).
-        fallback: what answers a request whose deadline expired.
-            ``"ladder"`` (the default) steps down the escalation
-            ladder via
-            :meth:`repro.core.adaptive.AdaptiveOptimizer
-            .degradation_path` — LinDP for exact-routed queries small
-            enough to answer synchronously, GOO beyond; a name from
-            :data:`repro.core.FALLBACK_ALGORITHMS` pins one heuristic
-            instead. Either way a cached rank-2 plan, when retained
-            (``k_best >= 2``), is preferred over recomputing.
         cache_capacity / ttl_seconds: plan cache bounds.
             ``cache_capacity`` also bounds the exact-instance table
             (see :meth:`plan_request`), which drops its oldest entry
@@ -207,8 +201,9 @@ class PlanService:
             cache misses plan in-process via
             :func:`repro.core.kbest.k_best_plans` (the process pool
             ships only the champion home, so pooled planning stays
-            rank-1-only and is bypassed), and degraded responses can
-            serve the cached rank-2 tree (``PlanResponse.plan_rank``).
+            rank-1-only and is bypassed), and degraded responses try
+            the cached rank-2 tree (``PlanResponse.plan_rank``) before
+            any rung.
         workers: optimizer thread-pool size.
         jobs: worker *processes* for the actual enumeration. ``None``
             or ``1`` keeps optimization in-process on the thread pool
@@ -221,10 +216,12 @@ class PlanService:
             not carry their own; ``None`` means unbounded. A deadline
             is a *wall-clock request budget*: fingerprinting, cache
             waits, pool queueing and fault retries all draw from it,
-            and expiry degrades to the fallback heuristic. The clock
-            starts when :meth:`plan_request` opens the request span,
-            before the exact-instance lookup; ``elapsed_seconds``
-            counts from the same instant.
+            and expiry degrades the request instead of failing it.
+            The clock starts when :meth:`plan_request` opens the
+            request span, before the exact-instance lookup;
+            ``elapsed_seconds`` counts from the same instant. A budget
+            too large for a timed wait (:data:`threading.TIMEOUT_MAX`)
+            waits unbounded.
         max_retries: re-submissions after a worker-process fault
             (``BrokenProcessPool``) before the request degrades to
             in-process planning; ``0`` fails over immediately.
@@ -233,7 +230,6 @@ class PlanService:
             consecutive exhausted-retry faults the service stops
             touching the pool (planning in-process instead) until a
             half-open probe after the cooldown heals it.
-        card_digits / sel_digits: fingerprint quantization.
         instrumentation: shared :class:`repro.obs.Instrumentation`; the
             service creates a private one when not given. Cache
             counters, request counters/latencies, per-request span
@@ -249,7 +245,6 @@ class PlanService:
     def __init__(
         self,
         algorithm: str = "adaptive",
-        fallback: str = "ladder",
         cache_capacity: int = 1024,
         ttl_seconds: float | None = None,
         cache_shards: int = 1,
@@ -260,20 +255,12 @@ class PlanService:
         max_retries: int = 2,
         breaker_threshold: int = 3,
         breaker_cooldown_seconds: float = 30.0,
-        card_digits: int = DEFAULT_CARD_DIGITS,
-        sel_digits: int = DEFAULT_SEL_DIGITS,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         if algorithm not in ALGORITHMS:
             known = ", ".join(sorted(ALGORITHMS))
             raise ServiceError(
                 f"unknown algorithm {algorithm!r}; expected one of: {known}"
-            )
-        if fallback != "ladder" and fallback not in FALLBACK_ALGORITHMS:
-            known = ", ".join(FALLBACK_ALGORITHMS)
-            raise ServiceError(
-                f"fallback must be 'ladder' or a deadline-safe heuristic "
-                f"({known}), got {fallback!r}"
             )
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
@@ -289,15 +276,12 @@ class PlanService:
             raise ServiceError(f"k_best must be in 1..{MAX_K}, got {k_best}")
         self._algorithm = algorithm
         self._k_best = k_best
-        self._fallback = fallback
-        # Routing policy for the "ladder" fallback: which rungs a
+        # Routing policy of the degradation rungs: which ones a
         # degraded request may run synchronously (degradation_path).
         from repro.core.adaptive import AdaptiveOptimizer
 
         self._ladder = AdaptiveOptimizer()
         self._default_deadline = default_deadline_seconds
-        self._card_digits = card_digits
-        self._sel_digits = sel_digits
         self._obs = (
             instrumentation if instrumentation is not None else Instrumentation()
         )
@@ -307,14 +291,6 @@ class PlanService:
             ttl_seconds=ttl_seconds,
             counters=self._obs.counters,
         )
-        # fingerprint.key -> last fulfilled algorithm-qualified cache
-        # key: lets the degraded path find a retained entry for the
-        # query regardless of which algorithm planned it. Guarded by a
-        # plain lock (dict ops only); bounded by the cache's own
-        # capacity since only fulfilled keys enter.
-        self._fp_index: dict[str, str] = {}
-        self._fp_index_lock = threading.Lock()
-        self._fp_index_capacity = max(4 * cache_capacity, 1024)
         # (graph, cardinalities) -> _ExactHit, in insertion order so the
         # oldest entry goes first. Reads are single dict lookups; writes
         # take the lock.
@@ -552,22 +528,17 @@ class PlanService:
         with self._obs.span("service.cache_lookup"):
             status, payload = self._cache.get_or_join(cache_key)
         if status == "hit":
-            entry: _CacheEntry = payload
             self._metrics.counter("cache_hits").increment()
             return self._respond(
-                request, fingerprint, entry, started, True, exact_key, remembered
+                request, fingerprint, payload, started, True, exact_key, remembered
             )
 
         if status == "leader":
             # The remaining budget (not the full deadline) flows into
             # the worker job so pool fault retries stop once the
             # request could no longer profit from them.
-            deadline_at = (
-                None
-                if deadline is None
-                else time.monotonic()
-                + max(0.0, deadline - (time.perf_counter() - started))
-            )
+            left = _budget_left(deadline, started)
+            deadline_at = None if left is None else time.monotonic() + left
             job = self._executor.submit(
                 self._optimize_canonical,
                 request,
@@ -585,34 +556,22 @@ class PlanService:
         future: Future = payload if status == "follower" else job
         try:
             with self._obs.span("service.wait", role=status):
-                if deadline is not None:
-                    # The deadline is a wall-clock *request* budget:
-                    # whatever fingerprinting, cache lookup and span
-                    # overhead already consumed no longer remains.
-                    remaining = max(
-                        0.0, deadline - (time.perf_counter() - started)
-                    )
-                    entry = future.result(timeout=remaining)
-                else:
-                    entry = future.result()
+                entry = future.result(timeout=_budget_left(deadline, started))
         except FutureTimeoutError:
             return self._degrade(request, fingerprint, started)
         except Exception as error:
             # The leader's optimization failed (worker crash past every
             # retry, optimizer bug) — and for followers that failure
             # arrived through PlanCache.abandon. Either way the request
-            # degrades to the fallback heuristic instead of re-raising
-            # an exception the caller cannot act on.
+            # degrades instead of re-raising an exception the caller
+            # cannot act on.
             self._metrics.counter("error_fallbacks").increment()
             return self._degrade(request, fingerprint, started, error=error)
-        if status == "leader":
-            # The done-callback stores the entry; count the outcome as a
-            # fresh optimization for this response.
-            return self._respond(
-                request, fingerprint, entry, started, False, exact_key, remembered
-            )
+        # A leader's entry is a fresh optimization (the done-callback
+        # stores it); a follower's was computed by another request.
+        cache_hit = status == "follower"
         return self._respond(
-            request, fingerprint, entry, started, True, exact_key, remembered
+            request, fingerprint, entry, started, cache_hit, exact_key, remembered
         )
 
     def _optimize_canonical(
@@ -720,22 +679,6 @@ class PlanService:
             self._cache.abandon(cache_key, error)
         else:
             self._cache.fulfill(cache_key, job.result())
-            self._index_fulfillment(cache_key)
-
-    def _index_fulfillment(self, cache_key: str) -> None:
-        """Remember where ``cache_key``'s fingerprint was last cached.
-
-        Cache keys are ``<algorithm>:<fingerprint-hex>`` — algorithm
-        names never contain a colon, so one split recovers the
-        fingerprint. The index is LRU-bounded: a re-fulfilled key moves
-        to the back, and overflow drops the oldest mapping.
-        """
-        fingerprint_key = cache_key.split(":", 1)[1]
-        with self._fp_index_lock:
-            self._fp_index.pop(fingerprint_key, None)
-            self._fp_index[fingerprint_key] = cache_key
-            while len(self._fp_index) > self._fp_index_capacity:
-                self._fp_index.pop(next(iter(self._fp_index)))
 
     def _remember_exact(self, exact_key: tuple, hit: _ExactHit) -> None:
         """Store ``hit`` as the newest exact-table entry; drop the oldest
@@ -745,6 +688,15 @@ class PlanService:
             self._exact[exact_key] = hit
             while len(self._exact) > self._exact_capacity:
                 self._exact.pop(next(iter(self._exact)))
+
+    def _relabel(
+        self, request: PlanRequest, fingerprint: Fingerprint, plan: JoinTree
+    ) -> JoinTree:
+        """Translate a canonical plan into the request's numbering."""
+        with self._obs.span("service.relabel"):
+            return relabel_plan(
+                plan, fingerprint.old_of_new, names=request.graph.names
+            )
 
     def _respond(
         self,
@@ -756,7 +708,7 @@ class PlanService:
         exact_key: tuple | None = None,
         remembered: _ExactHit | None = None,
     ) -> PlanResponse:
-        """Translate a canonical cache entry into the request's numbering.
+        """Answer with a canonical cache entry's rank-1 plan.
 
         ``remembered`` is what the exact-instance table held for
         ``exact_key`` (``None`` on a table miss); its plan is reused
@@ -767,26 +719,50 @@ class PlanService:
         if remembered is not None and remembered.entry is entry:
             plan = remembered.plan
         else:
-            with self._obs.span("service.relabel"):
-                plan = relabel_plan(
-                    entry.canonical_plan,
-                    fingerprint.old_of_new,
-                    names=request.graph.names,
-                )
+            plan = self._relabel(request, fingerprint, entry.canonical_plan)
             if exact_key is not None:
                 self._remember_exact(
                     exact_key, _ExactHit(fingerprint, entry, plan)
                 )
+        return self._response(
+            fingerprint,
+            started,
+            plan,
+            entry.algorithm,
+            entry.optimize_seconds,
+            cache_hit,
+        )
+
+    def _response(
+        self,
+        fingerprint: Fingerprint,
+        started: float,
+        plan: JoinTree,
+        algorithm: str,
+        optimize_seconds: float,
+        cache_hit: bool,
+        rung: str | None = None,
+        error: str | None = None,
+    ) -> PlanResponse:
+        """Build a :class:`PlanResponse` and record its ``plan_latency``.
+
+        Every answer goes through here. ``rung`` names the degradation
+        source of a degraded answer (``None`` otherwise); the rank-2
+        source serves ``plan_rank=2``.
+        """
         elapsed = time.perf_counter() - started
         self._metrics.histogram("plan_latency").observe(elapsed)
         return PlanResponse(
             plan=plan,
-            algorithm=entry.algorithm,
+            algorithm=algorithm,
             cache_hit=cache_hit,
-            degraded=False,
+            degraded=rung is not None,
             fingerprint_key=fingerprint.key,
             elapsed_seconds=elapsed,
-            optimize_seconds=entry.optimize_seconds,
+            optimize_seconds=optimize_seconds,
+            error=error,
+            plan_rank=2 if rung == "rank-2" else 1,
+            ladder_rung=rung,
         )
 
     def _degrade(
@@ -796,131 +772,74 @@ class PlanService:
         started: float,
         error: BaseException | None = None,
     ) -> PlanResponse:
-        """Deadline expired or the routed algorithm failed: step down
-        the ladder.
+        """Deadline expired or the routed algorithm failed: answer from
+        the first degradation source that can.
 
-        Before paying for any recomputation, the service checks whether
-        it already holds a ranked entry for this fingerprint (live
-        under another algorithm's key, or parked in the cache's stale
-        tier after TTL expiry/LRU eviction) with at least two plans —
-        if so it serves that entry's **rank-2 tree** (``plan_rank=2``,
-        ``ladder_rung="rank-2"``): an optimal-subplans candidate the DP
-        itself priced, strictly better-informed than a from-scratch
-        heuristic pass, and deliberately not the rank-1 champion, which
-        the in-flight recomputation will re-deliver fresh.
+        The sources, in order, inside one ``service.degrade`` span:
 
-        Otherwise this runs the degradation rungs on the caller's
-        thread (the pool may be what is saturated), against the
-        request's own numbering (no relabeling needed): with the
-        ``"ladder"`` fallback the rungs come from
-        :meth:`repro.core.adaptive.AdaptiveOptimizer.degradation_path`
-        (LinDP before GOO for exact-routed queries), a pinned fallback
-        is its own single rung. On deadline expiry the routed
-        optimization keeps running in the background and lands in the
-        cache for future requests; on failure (``error`` given)
-        nothing was cached and the response carries the failure
-        description. Degraded plans are never cached.
+        * ``"rank-2"``: the second tree of the request's own cache
+          entry, live or parked in the stale tier (one
+          :meth:`~repro.service.sharding.ShardedPlanCache.peek_stale`)
+          — an optimal-subplans candidate the DP itself priced, and
+          deliberately not the rank-1 champion, which the in-flight
+          recomputation re-delivers fresh. It passes when the entry is
+          gone or holds a single plan. A service that keeps one plan
+          per entry (``k_best=1``) skips this source, so its probe
+          never counts a stale entry it cannot serve
+          (``stale_served``).
+        * the rungs of
+          :meth:`repro.core.adaptive.AdaptiveOptimizer.degradation_path`
+          (LinDP for exact-routed queries small enough, then GOO), run
+          on the caller's thread (the pool may be what is saturated)
+          against the request's own numbering. A rung refusing the
+          instance passes; GOO, always last, never refuses a connected
+          graph.
+
+        On deadline expiry the routed optimization keeps running in the
+        background and lands in the cache for future requests; on
+        failure (``error`` given) nothing was cached and the response
+        carries the failure description. Degraded plans are never
+        cached.
         """
         self._metrics.counter("degraded").increment()
         reason = None if error is None else f"{type(error).__name__}: {error}"
-        ranked = self._degraded_from_cache(request, fingerprint, started, reason)
-        if ranked is not None:
-            return ranked
-        if self._fallback == "ladder":
-            rungs = self._ladder.degradation_path(request.graph)
-        else:
-            rungs = (self._fallback,)
-        result = None
-        rung = rungs[-1]
-        for candidate in rungs:
-            with self._obs.span("service.degrade", fallback=candidate) as span:
-                if span is not None and reason is not None:
+        sources = self._ladder.degradation_path(request.graph)
+        if self._k_best > 1:
+            sources = ("rank-2", *sources)
+        with self._obs.span("service.degrade") as span:
+            for rung in sources:
+                answer = self._degraded_answer(rung, request, fingerprint)
+                if answer is not None:
+                    break
+            if span is not None:
+                span.attributes["rung"] = rung
+                if reason is not None:
                     span.attributes["error"] = reason
-                try:
-                    result = make_algorithm(candidate).optimize(
-                        request.graph,
-                        catalog=request.catalog,
-                        instrumentation=self._obs,
-                    )
-                except OptimizerError:
-                    # A rung refusing the instance (defensive; the
-                    # ladder only offers rungs it believes apply) falls
-                    # through to the next one — GOO never refuses a
-                    # connected graph.
-                    continue
-            rung = candidate
-            break
-        assert result is not None
+        assert answer is not None
         self._metrics.counter(f"degraded_rung_{rung}").increment()
-        elapsed = time.perf_counter() - started
-        self._metrics.histogram("plan_latency").observe(elapsed)
-        return PlanResponse(
-            plan=result.plan,
-            algorithm=f"{result.algorithm} (degraded)",
-            cache_hit=False,
-            degraded=True,
-            fingerprint_key=fingerprint.key,
-            elapsed_seconds=elapsed,
-            optimize_seconds=result.elapsed_seconds,
-            error=reason,
-            ladder_rung=rung,
+        return self._response(
+            fingerprint, started, *answer, rung == "rank-2", rung, reason
         )
 
-    def _degraded_from_cache(
-        self,
-        request: PlanRequest,
-        fingerprint: Fingerprint,
-        started: float,
-        reason: str | None,
-    ) -> PlanResponse | None:
-        """Serve a retained rank-2 plan for a degraded request, if any.
-
-        Probes the request's own cache key first, then the fingerprint
-        index (the key of whichever algorithm last fulfilled this
-        fingerprint). Either probe may surface a live entry (cached
-        under a different algorithm than requested) or a stale-tier
-        entry (TTL-expired / LRU-evicted); both serve, because a
-        degraded answer never promised freshness. Returns ``None`` when
-        no reachable entry holds at least two ranked plans.
-        """
-        algorithm = request.algorithm or self._algorithm
-        keys = [f"{algorithm}:{fingerprint.key}"]
-        with self._fp_index_lock:
-            indexed = self._fp_index.get(fingerprint.key)
-        if indexed is not None and indexed not in keys:
-            keys.append(indexed)
-        for cache_key in keys:
-            found = self._cache.peek_stale(cache_key)
-            if found is None:
-                continue
-            freshness, entry = found
-            if len(entry.canonical_plans) < 2:
-                continue
-            self._metrics.counter("degraded_rank2").increment()
-            self._metrics.counter("degraded_rung_rank-2").increment()
-            with self._obs.span(
-                "service.degrade_rank2", freshness=freshness
-            ):
-                plan = relabel_plan(
-                    entry.canonical_plans[1],
-                    fingerprint.old_of_new,
-                    names=request.graph.names,
-                )
-            elapsed = time.perf_counter() - started
-            self._metrics.histogram("plan_latency").observe(elapsed)
-            return PlanResponse(
-                plan=plan,
-                algorithm=f"{entry.algorithm} (rank-2)",
-                cache_hit=True,
-                degraded=True,
-                fingerprint_key=fingerprint.key,
-                elapsed_seconds=elapsed,
-                optimize_seconds=entry.optimize_seconds,
-                error=reason,
-                plan_rank=2,
-                ladder_rung="rank-2",
+    def _degraded_answer(
+        self, rung: str, request: PlanRequest, fingerprint: Fingerprint
+    ) -> tuple[JoinTree, str, float] | None:
+        """One degradation source's plan, algorithm label and optimize
+        seconds, or ``None`` when it passes (see :meth:`_degrade`)."""
+        if rung == "rank-2":
+            found = self._cache.peek_stale(self.cache_key_of(request, fingerprint))
+            if found is None or len(found[1].canonical_plans) < 2:
+                return None
+            entry: _CacheEntry = found[1]
+            plan = self._relabel(request, fingerprint, entry.canonical_plans[1])
+            return plan, f"{entry.algorithm} (rank-2)", entry.optimize_seconds
+        try:
+            result = make_algorithm(rung).optimize(
+                request.graph, catalog=request.catalog, instrumentation=self._obs
             )
-        return None
+        except OptimizerError:
+            return None
+        return result.plan, f"{result.algorithm} (degraded)", result.elapsed_seconds
 
     def plan_degraded(
         self,
@@ -928,7 +847,7 @@ class PlanService:
         fingerprint: Fingerprint,
         error: BaseException | None = None,
     ) -> PlanResponse:
-        """Answer ``request`` with the fallback heuristic directly.
+        """Answer ``request`` from the degradation sources directly.
 
         The batch layer's failure isolation uses this: when a group
         leader's pipeline raised instead of returning, every member of
@@ -959,12 +878,7 @@ class PlanService:
         self, graph: QueryGraph, catalog: Catalog | None = None
     ) -> Fingerprint:
         """The fingerprint this service computes for a query."""
-        return compute_fingerprint(
-            graph,
-            catalog,
-            card_digits=self._card_digits,
-            sel_digits=self._sel_digits,
-        )
+        return compute_fingerprint(graph, catalog)
 
     def cache_key_of(self, request: PlanRequest, fingerprint: Fingerprint) -> str:
         """The full cache key (algorithm-qualified) for a request."""
@@ -1015,9 +929,7 @@ class PlanService:
         """Rebuild cache entries from :meth:`export_cache` records.
 
         Malformed records are skipped (a warm-start must never prevent
-        boot); returns the number of entries restored. Restored keys
-        also enter the fingerprint index so degraded rank-2 serving
-        works from the first post-boot request.
+        boot); returns the number of entries restored.
         """
         from repro.io import SerializationError, plan_from_dict
 
@@ -1038,7 +950,6 @@ class PlanService:
             except (KeyError, TypeError, ValueError, SerializationError):
                 continue
             self._cache.put(key, entry)
-            self._index_fulfillment(key)
             restored += 1
         return restored
 
@@ -1066,11 +977,6 @@ class PlanService:
     def default_algorithm(self) -> str:
         """The algorithm used when a request does not name one."""
         return self._algorithm
-
-    @property
-    def fallback(self) -> str:
-        """The degradation policy: ``"ladder"`` or a pinned heuristic."""
-        return self._fallback
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -1116,10 +1022,9 @@ class PlanService:
         }
         snapshot["k_best"] = self._k_best
         snapshot["ladder"] = {
-            "fallback": self._fallback,
             "degraded_rungs": {
                 rung: self._metrics.counter(f"degraded_rung_{rung}").value
-                for rung in ("rank-2", "lindp", "goo", "quickpick")
+                for rung in ("rank-2", "lindp", "goo")
             },
         }
         pool = self._process_pool
@@ -1153,5 +1058,5 @@ class PlanService:
         stats = self._cache.stats()
         return (
             f"PlanService(algorithm={self._algorithm!r}, "
-            f"fallback={self._fallback!r}, cache={stats.size}/{stats.capacity})"
+            f"cache={stats.size}/{stats.capacity})"
         )

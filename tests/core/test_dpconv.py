@@ -10,12 +10,13 @@ counter conventions shared with the paper's algorithms.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from repro.catalog.synthetic import random_catalog
-from repro.core import DPconv, DPsub
+from repro.catalog.synthetic import random_catalog, uniform_catalog
+from repro.core import DPccp, DPconv, DPsub
 from repro.core import dpconv as dpconv_module
 from repro.cost.disk import DiskCostModel
 from repro.errors import OptimizerError
@@ -143,6 +144,35 @@ class TestNonSeparableFallback:
             == 2 * result.counters.ono_lohman_counter
         )
         validate_plan(result.plan, graph)
+
+
+class TestOverflowedEstimates:
+    """Relations of 10^120 rows joined at selectivity 1: every set of
+    three or more is estimated past the float range, so the whole query
+    has no split of finite cost, and both sweeps record split 0 for it.
+    """
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "numpy",
+                marks=pytest.mark.skipif(
+                    not HAS_NUMPY, reason="numpy not importable"
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("make, n", [(chain_graph, 7), (clique_graph, 9)])
+    def test_plans_at_inf_like_dpccp(self, backend, make, n):
+        graph = make(n, selectivity=1.0)
+        catalog = uniform_catalog(n, 1e120)
+        result = DPconv(backend=backend).optimize(graph, catalog=catalog)
+        validate_plan(result.plan, graph)
+        assert math.isinf(result.cost)
+        assert DPccp().optimize(graph, catalog=catalog).cost == result.cost
+        assert result.counters.create_join_tree_calls == n - 1
 
 
 class TestBackendResolution:

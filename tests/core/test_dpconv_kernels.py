@@ -81,8 +81,8 @@ def overflowing_instance(shape: str, n: int):
 
     Those sets cost inf, yet the whole query still splits into two
     finite halves, so the reconstruction finishes. (A set whose every
-    split costs inf keeps split 0, and rebuilding it recurses until
-    Python stops it, in this code and in the reference alike.)
+    split costs inf keeps split 0 in both sweeps, and the shared
+    reconstruction splits it at its first csg-cmp pair.)
     """
     rng = random.Random(f"dpconv-overflow/{shape}/{n}")
     cardinality = 10.0 ** (300 // (n // 2))

@@ -114,15 +114,22 @@ class TestDeadlines:
             graph, catalog = make_instance(n=13, seed=3)
             assert svc.plan(graph, catalog).degraded
 
+    @pytest.mark.parametrize("deadline", [1e10, float("inf")])
+    def test_deadline_past_timeout_max_waits_unbounded(self, deadline):
+        """Past ``threading.TIMEOUT_MAX`` (~9.2e9 s), too long for a
+        timed wait, so waited for like no deadline."""
+        graph, catalog = make_instance(n=13, seed=11)
+        with PlanService(workers=1) as svc:
+            response = svc.plan(graph, catalog, deadline_seconds=deadline)
+            assert not response.degraded
+            assert response.error is None
+            assert svc.metrics.counter("error_fallbacks").value == 0
+
 
 class TestConfigAndLifecycle:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ServiceError):
             PlanService(algorithm="nope")
-
-    def test_rejects_exponential_fallback(self):
-        with pytest.raises(ServiceError):
-            PlanService(fallback="dpccp")
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ServiceError):

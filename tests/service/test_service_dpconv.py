@@ -11,11 +11,12 @@ twins.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from repro.catalog.synthetic import random_catalog
+from repro.catalog.synthetic import random_catalog, uniform_catalog
 from repro.core import DPconv, make_algorithm, optimize
 from repro.graph.generators import clique_graph
 from repro.plans.visitors import validate_plan
@@ -53,6 +54,19 @@ class TestSelection:
             assert response.algorithm == "adaptive->DPconv"
             direct = optimize(graph, catalog=catalog, algorithm="adaptive")
             assert response.cost == pytest.approx(direct.cost)
+
+    def test_overflowed_clique_plans_without_degrading(self):
+        """Estimates past the float range leave DPconv no finite split;
+        it still answers (at inf), so the request does not degrade."""
+        graph = clique_graph(9, selectivity=1.0)
+        catalog = uniform_catalog(9, 1e120)
+        with PlanService() as service:
+            response = service.plan(graph, catalog)
+        assert not response.degraded
+        assert response.error is None
+        assert response.algorithm == "adaptive->DPconv"
+        validate_plan(response.plan, graph)
+        assert math.isinf(response.cost)
 
     def test_registry_constructs_dpconv(self):
         engine = make_algorithm("dpconv")

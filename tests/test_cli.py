@@ -203,14 +203,14 @@ class TestServiceCommands:
         assert args.topology == "star"
         assert args.requests == 200
         assert args.repeat_ratio == 0.7
-        assert args.fallback == "ladder"
 
     def test_fallback_choices(self):
-        args = build_parser().parse_args(["serve-batch", "--fallback", "goo"])
-        assert args.fallback == "goo"
-        assert build_parser().parse_args(["serve"]).fallback == "ladder"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-batch", "--fallback", "ikkbz"])
+        # Degradation has one policy, the escalation ladder, so
+        # neither serving command takes --fallback.
+        for command in ("serve-batch", "serve"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--fallback", "goo"])
+        args = build_parser().parse_args(["serve-batch"])
         assert args.jobs is None
         assert args.concurrency is None
 
