@@ -6,6 +6,15 @@ counters from the pseudocode (``InnerCounter``, ``CsgCmpPairCounter``,
 ``OnoLohmanCounter``), the result object, and the
 :class:`JoinOrderer` base class that validates inputs and dispatches to
 the concrete algorithm.
+
+The paper's ``CreateJoinTree``-and-compare step lives in one place,
+:meth:`PlanTable.join_step`, and every DP enumerator calls it once per
+csg-cmp-pair orientation, so they all pay the same per-pair cost. Under
+a symmetric separable cost model (C_out) the step works on relation
+sets: per set it keeps the cost, the cardinality and the winning left
+half, and the plan's trees are built on demand when the table is read.
+Other models, and tables that must see every candidate as a tree
+(:class:`~repro.core.kbest.KBestPlanTable`), price each candidate.
 """
 
 from __future__ import annotations
@@ -86,41 +95,66 @@ class CounterSet:
 class PlanTable:
     """The ``BestPlan`` table: optimal plan per relation set.
 
-    A thin wrapper over a dict keyed by bitset, with the
-    compare-and-replace step all three algorithms share: keep the new
-    plan only if no plan for the set exists yet or the new one is
-    cheaper. Ties keep the incumbent, making results deterministic
-    across enumeration orders that produce equal-cost plans.
+    A dict keyed by bitset, with the compare-and-replace step all the
+    DP algorithms share: keep a candidate only if the set has no entry
+    yet or the candidate is cheaper. Ties keep the incumbent, making
+    results deterministic across enumeration orders that produce
+    equal-cost plans.
+
+    An entry is held in one of two forms. A *tree entry* is a
+    :class:`JoinTree` (leaves, :meth:`register`, :meth:`consider`,
+    :meth:`adopt`). A *set entry* is what :meth:`join_step` writes
+    under a symmetric separable cost model: the set's cost, its
+    estimated cardinality and its winning left half, with no tree.
+    :meth:`get` and ``table[mask]`` build a set entry's tree on demand
+    from the recorded halves, so a run materializes only the ``n - 1``
+    joins of the plan it returns.
     """
 
-    __slots__ = ("_plans", "probes", "improvements")
+    __slots__ = (
+        "_costs", "_cardinalities", "_plans", "_splits", "_operator",
+        "probes", "improvements",
+    )
 
     def __init__(self) -> None:
+        #: cost and cardinality of every entry, tree or set.
+        self._costs: dict[int, float] = {}
+        self._cardinalities: dict[int, float] = {}
+        #: tree entries.
         self._plans: dict[int, JoinTree] = {}
-        #: register/consider calls (cheap plain ints, published to the
-        #: obs layer once per run as plan_table_probes/_improvements).
+        #: set entries: the winning left half.
+        self._splits: dict[int, int] = {}
+        #: operator label of set entries' join nodes.
+        self._operator = "Join"
+        #: register/consider/step calls (cheap plain ints, published to
+        #: the obs layer once per run as plan_table_probes/_improvements).
         self.probes = 0
         #: probes that changed the table (new set or cheaper plan).
         self.improvements = 0
 
     def get(self, mask: int) -> JoinTree | None:
         """Best plan known for ``mask``, or ``None``."""
-        return self._plans.get(mask)
+        plan = self._plans.get(mask)
+        if plan is None and mask in self._splits:
+            return self._build(mask)
+        return plan
 
     def __getitem__(self, mask: int) -> JoinTree:
         try:
             return self._plans[mask]
         except KeyError:
+            if mask in self._splits:
+                return self._build(mask)
             raise OptimizerError(
                 f"no plan for {bitset.format_bits(mask)}; the enumeration "
                 "order violated the dynamic programming precondition"
             ) from None
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._plans
+        return mask in self._costs
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._costs)
 
     def register(self, plan: JoinTree) -> bool:
         """Keep ``plan`` if it beats the incumbent for its relation set.
@@ -128,9 +162,9 @@ class PlanTable:
         Returns ``True`` when the table changed.
         """
         self.probes += 1
-        incumbent = self._plans.get(plan.relations)
-        if incumbent is None or plan.cost < incumbent.cost:
-            self._plans[plan.relations] = plan
+        incumbent = self._costs.get(plan.relations)
+        if incumbent is None or plan.cost < incumbent:
+            self.adopt(plan)
             self.improvements += 1
             return True
         return False
@@ -147,15 +181,113 @@ class PlanTable:
         """
         self.probes += 1
         cardinality, cost, operator = cost_model.price(left, right)
-        mask = left.relations | right.relations
-        incumbent = self._plans.get(mask)
-        if incumbent is not None and incumbent.cost <= cost:
+        incumbent = self._costs.get(left.relations | right.relations)
+        if incumbent is not None and incumbent <= cost:
             return False
-        self._plans[mask] = JoinTree.join(
-            left, right, cardinality=cardinality, cost=cost, operator=operator
+        self.adopt(
+            JoinTree.join(
+                left, right, cardinality=cardinality, cost=cost,
+                operator=operator,
+            )
         )
         self.improvements += 1
         return True
+
+    def join_step(self, cost_model: CostModel) -> Callable[[int, int], bool]:
+        """The paper's ``CreateJoinTree``-and-compare step, on relation sets.
+
+        Returns ``step(left, right)``, which offers ``left ⨝ right`` for
+        the set ``left | right`` (both halves must have entries) and
+        returns ``True`` when the table changed. It is what every DP
+        enumerator calls once per csg-cmp-pair orientation.
+
+        Under a symmetric separable model (C_out) the step never calls
+        the model and builds no tree: it compares
+        ``(cost(left) + cost(right)) + |left ∪ right|`` with the
+        incumbent's cost (``incumbent <= candidate`` keeps the
+        incumbent, as :meth:`consider` does) and records the winning
+        left half. The cardinality comes from the estimator's
+        first-visit memo on the set's first visit, so the numbers equal
+        what :meth:`consider` would have priced, bit for bit. Any other
+        model gets :meth:`consider` on the two halves' trees.
+        """
+        if (
+            not cost_model.symmetric
+            or cost_model.separable_join_operator is None
+        ):
+            return self._priced_step(cost_model)
+        self._operator = cost_model.separable_join_operator
+        estimate = cost_model.estimator.split_cardinality
+        costs = self._costs
+        cardinalities = self._cardinalities
+        splits = self._splits
+        plans = self._plans
+        incumbent_of = costs.get
+
+        def step(left: int, right: int) -> bool:
+            self.probes += 1
+            mask = left | right
+            incumbent = incumbent_of(mask)
+            if incumbent is None:
+                cardinality = estimate(left, right)
+                cardinalities[mask] = cardinality
+                costs[mask] = costs[left] + costs[right] + cardinality
+                splits[mask] = left
+                self.improvements += 1
+                return True
+            cost = costs[left] + costs[right] + cardinalities[mask]
+            if incumbent <= cost:
+                return False
+            costs[mask] = cost
+            splits[mask] = left
+            plans.pop(mask, None)
+            self.improvements += 1
+            return True
+
+        return step
+
+    def _priced_step(self, cost_model: CostModel) -> Callable[[int, int], bool]:
+        """:meth:`join_step` for models the set-level step cannot price."""
+        consider = self.consider
+
+        def step(left: int, right: int) -> bool:
+            return consider(cost_model, self[left], self[right])
+
+        return step
+
+    def _build(self, mask: int) -> JoinTree:
+        """Materialize a set entry's tree from the recorded left halves.
+
+        Iterative post-order, so a long chain's plan needs no deep
+        recursion; one join node per set entry in the plan.
+        """
+        splits = self._splits
+        built: dict[int, JoinTree] = {}
+
+        def subtree(half: int) -> JoinTree:
+            return built[half] if half in splits else self[half]
+
+        pending = [mask]
+        while pending:
+            top = pending[-1]
+            left = splits[top]
+            right = top ^ left
+            waiting = [
+                half for half in (right, left)
+                if half in splits and half not in built
+            ]
+            if waiting:
+                pending += waiting
+                continue
+            pending.pop()
+            built[top] = JoinTree.join(
+                subtree(left),
+                subtree(right),
+                cardinality=self._cardinalities[top],
+                cost=self._costs[top],
+                operator=self._operator,
+            )
+        return built[mask]
 
     def adopt(self, plan: JoinTree) -> None:
         """Install ``plan`` as its relation set's entry, unconditionally.
@@ -164,13 +296,17 @@ class PlanTable:
         themselves (:class:`~repro.core.kbest.KBestPlanTable` builds the
         tree first to offer it to its tracker); unlike :meth:`register`
         this neither compares against an incumbent nor touches the probe
-        counters.
+        counters. The tree replaces a set entry for the same set.
         """
-        self._plans[plan.relations] = plan
+        mask = plan.relations
+        self._plans[mask] = plan
+        self._costs[mask] = plan.cost
+        self._cardinalities[mask] = plan.cardinality
+        self._splits.pop(mask, None)
 
     def masks(self) -> Iterator[int]:
         """All relation sets with a registered plan."""
-        return iter(self._plans)
+        return iter(self._costs)
 
 
 @dataclass(slots=True)
@@ -185,7 +321,7 @@ class OptimizationResult:
         table_size: number of entries in the final ``BestPlan`` table
             (equals ``#csg`` for the DP algorithms).
         elapsed_seconds: wall-clock optimization time.
-        table_probes: plan-table register/consider calls during the run.
+        table_probes: plan-table register/consider/step calls during the run.
         table_improvements: probes that changed the table.
     """
 
@@ -222,7 +358,7 @@ class JoinOrderer(abc.ABC):
     requires_connected: bool = True
 
     #: True for bottom-up enumerators that route *every* candidate plan
-    #: for the full relation set through ``table.consider``/``register``
+    #: for the full relation set through ``table.join_step``/``register``
     #: — the precondition for in-run k-best capture via an injected
     #: :class:`~repro.core.kbest.KBestPlanTable`. False for algorithms
     #: that memoize or prune root candidates internally (exhaustive's

@@ -51,7 +51,7 @@ class DPall(JoinOrderer):
                 f"DPall enumerates all 2^{n} subsets; refusing n > "
                 f"{MAX_RELATIONS}"
             )
-        consider = table.consider
+        step = table.join_step(cost_model)
         total = 1 << n
         for mask in range(1, total):
             low = mask & -mask
@@ -63,6 +63,6 @@ class DPall(JoinOrderer):
                 right = mask ^ left
                 counters.csg_cmp_pair_counter += 1
                 counters.create_join_tree_calls += 1
-                consider(cost_model, table[left], table[right])
+                step(left, right)
                 left = (left - mask) & mask
         counters.ono_lohman_counter = counters.csg_cmp_pair_counter // 2

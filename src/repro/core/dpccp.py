@@ -1,29 +1,37 @@
 """DPccp — the paper's new algorithm (Figure 4).
 
-DPccp iterates *exactly* the csg-cmp-pairs of the query graph, produced
-by :func:`~repro.graph.subgraphs.enumerate_csg_cmp_pairs` in an order
-valid for dynamic programming, so its ``InnerCounter`` equals the
-Ono-Lohman lower bound: every innermost-loop execution performs useful
-work. Per pair it costs both join orders (the enumeration emits each
-unordered pair in a single orientation, so commutativity must be handled
-here — paper §3.1: "the algorithm explicitly exploits join
-commutativity").
+DPccp iterates *exactly* the csg-cmp-pairs of the query graph: for
+every connected set ``S1`` from
+:func:`~repro.graph.subgraphs.enumerate_csg`, every complement ``S2``
+from :func:`~repro.graph.subgraphs.enumerate_cmp`, in an order valid
+for dynamic programming. So its ``InnerCounter`` equals the Ono-Lohman
+lower bound: every innermost-loop execution performs useful work. Per
+pair it offers both join orders to the table's set-level step
+(:meth:`~repro.core.base.PlanTable.join_step`) when the cost model is
+asymmetric, one when it is symmetric (the enumeration emits each
+unordered pair in a single orientation, so commutativity must be
+handled here — paper §3.1: "the algorithm explicitly exploits join
+commutativity"). Under C_out that step compares costs of relation sets
+and builds no tree; only the returned plan's ``n - 1`` joins are built.
 
 The enumeration requires the graph to be numbered breadth-first from
 node 0 (paper §3.4.1). This class establishes that precondition
 transparently: if the input graph is not BFS-numbered, the *enumeration*
 runs on a renumbered twin and every emitted set is translated back to
-the original numbering before touching the plan table, so plans, costs
-and relation names all stay in the caller's index space.
+the original numbering, once per set, before touching the plan table,
+so plans, costs and relation names all stay in the caller's index
+space.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro import bitset
 from repro.core.base import CounterSet, JoinOrderer, PlanTable
 from repro.cost.base import CostModel
 from repro.graph.querygraph import QueryGraph
-from repro.graph.subgraphs import enumerate_csg_cmp_pairs
+from repro.graph.subgraphs import enumerate_cmp, enumerate_csg
 
 __all__ = ["DPccp"]
 
@@ -41,33 +49,41 @@ class DPccp(JoinOrderer):
         table: PlanTable,
         counters: CounterSet,
     ) -> None:
-        if graph.is_bfs_numbered():
-            pairs = enumerate_csg_cmp_pairs(graph, trust_numbering=True)
-            translate = None
-        else:
+        # original[S]: an enumerated set in the caller's numbering, or
+        # None when the graph is BFS-numbered and needs no translation.
+        original: dict[int, int] | None = None
+        numbered = graph
+        if not graph.is_bfs_numbered():
             numbered, old_of_new = graph.bfs_renumbered()
-            pairs = enumerate_csg_cmp_pairs(numbered, trust_numbering=True)
             # bit i of an enumerated mask denotes original relation
             # old_of_new[i]; precompute the per-bit translation.
             bit_map = [bitset.bit(old) for old in old_of_new]
-            translate = bit_map
+            original = {}
 
-        consider = table.consider
+        step = table.join_step(cost_model)
         both_orders = not cost_model.symmetric
-        for left, right in pairs:
-            if translate is not None:
-                left = _translate_mask(left, translate)
-                right = _translate_mask(right, translate)
-            counters.inner_counter += 1
-            counters.ono_lohman_counter += 1
-            plan_left = table[left]
-            plan_right = table[right]
-            counters.create_join_tree_calls += 1
-            consider(cost_model, plan_left, plan_right)
-            if both_orders:
-                counters.create_join_tree_calls += 1
-                consider(cost_model, plan_right, plan_left)
+        pairs = 0
+        for left in enumerate_csg(numbered, trust_numbering=True):
+            rights: Iterable[int] = enumerate_cmp(
+                numbered, left, trust_numbering=True
+            )
+            if original is not None:
+                # Each csg is translated once, when the csg stream
+                # emits it. Every S2 has a larger minimum than S1, so
+                # the stream emitted (and translated) it earlier.
+                translated = _translate_mask(left, bit_map)
+                original[left] = translated
+                left = translated
+                rights = [original[right] for right in rights]
+            for right in rights:
+                pairs += 1
+                step(left, right)
+                if both_orders:
+                    step(right, left)
+        counters.inner_counter += pairs
+        counters.ono_lohman_counter += pairs
         counters.csg_cmp_pair_counter = 2 * counters.ono_lohman_counter
+        counters.create_join_tree_calls += 2 * pairs if both_orders else pairs
 
 
 def _translate_mask(mask: int, bit_map: list[int]) -> int:

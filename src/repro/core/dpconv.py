@@ -246,7 +246,7 @@ class DPconv(JoinOrderer):
         connected: bytearray,
         n: int,
     ) -> None:
-        consider = table.consider
+        step = table.join_step(cost_model)
         both_orders = not cost_model.symmetric
         inner = 0
         valid_pairs = 0
@@ -266,13 +266,11 @@ class DPconv(JoinOrderer):
                     inner += 1
                     if connected[left] and connected[right]:
                         valid_pairs += 1
-                        plan_left = table[left]
-                        plan_right = table[right]
                         counters.create_join_tree_calls += 1
-                        consider(cost_model, plan_left, plan_right)
+                        step(left, right)
                         if both_orders:
                             counters.create_join_tree_calls += 1
-                            consider(cost_model, plan_right, plan_left)
+                            step(right, left)
                     sub = (sub - rest) & rest
         counters.inner_counter += inner
         counters.ono_lohman_counter += valid_pairs

@@ -48,7 +48,7 @@ class DPsize(JoinOrderer):
         buckets[1] = [1 << index for index in range(n)]
 
         are_connected = graph.are_connected
-        consider = table.consider
+        step = table.join_step(cost_model)
         both_orders = not cost_model.symmetric
 
         for size in range(2, n + 1):
@@ -70,14 +70,12 @@ class DPsize(JoinOrderer):
                             continue
                         counters.ono_lohman_counter += 1
                         counters.csg_cmp_pair_counter += 2
-                        plan_left = table[left]
-                        plan_right = table[right]
                         combined = left | right
                         is_new = combined not in table
                         counters.create_join_tree_calls += 1
-                        consider(cost_model, plan_left, plan_right)
+                        step(left, right)
                         if both_orders:
                             counters.create_join_tree_calls += 1
-                            consider(cost_model, plan_right, plan_left)
+                            step(right, left)
                         if is_new:
                             bucket.append(combined)

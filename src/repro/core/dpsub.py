@@ -63,7 +63,7 @@ class DPsub(JoinOrderer):
         # not excluding S) are filled in ascending mask order.
         connected = bytearray(total)
         neighbor_union = [0] * total
-        consider = table.consider
+        step = table.join_step(cost_model)
 
         for mask in range(1, total):
             low = mask & -mask
@@ -104,7 +104,7 @@ class DPsub(JoinOrderer):
                 ):
                     counters.csg_cmp_pair_counter += 1
                     counters.create_join_tree_calls += 1
-                    consider(cost_model, table[left], table[right])
+                    step(left, right)
                 left = (left - mask) & mask
 
         counters.ono_lohman_counter = counters.csg_cmp_pair_counter // 2

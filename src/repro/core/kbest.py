@@ -171,6 +171,11 @@ class KBestPlanTable(PlanTable):
             self._tracker.offer(plan)
         return super().register(plan)
 
+    def join_step(self, cost_model: CostModel) -> Callable[[int, int], bool]:
+        """Always the priced step: the tracker must see every root
+        candidate as a tree, which the set-level step never builds."""
+        return self._priced_step(cost_model)
+
     def consider(
         self, cost_model: CostModel, left: JoinTree, right: JoinTree
     ) -> bool:

@@ -48,7 +48,7 @@ class LeftDeepDP(JoinOrderer):
         neighbors = graph.neighbor_masks
         total = 1 << n
         connected = bytearray(total)
-        consider = table.consider
+        step = table.join_step(cost_model)
 
         for mask in range(1, total):
             low = mask & -mask
@@ -88,5 +88,5 @@ class LeftDeepDP(JoinOrderer):
                 # deliberately does not extend to LeftDeepDP.
                 counters.csg_cmp_pair_counter += 2
                 counters.create_join_tree_calls += 1
-                consider(cost_model, table[prefix], table[vertex])
+                step(prefix, vertex)
         counters.ono_lohman_counter = counters.csg_cmp_pair_counter // 2

@@ -49,7 +49,7 @@ class DPsizeBasic(JoinOrderer):
         buckets[1] = [1 << index for index in range(n)]
 
         are_connected = graph.are_connected
-        consider = table.consider
+        step = table.join_step(cost_model)
 
         for size in range(2, n + 1):
             bucket = buckets[size]
@@ -71,7 +71,7 @@ class DPsizeBasic(JoinOrderer):
                         combined = left | right
                         is_new = combined not in table
                         counters.create_join_tree_calls += 1
-                        consider(cost_model, table[left], table[right])
+                        step(left, right)
                         if is_new:
                             bucket.append(combined)
 
@@ -99,7 +99,7 @@ class DPsubBasic(JoinOrderer):
         total = 1 << n
         connected = bytearray(total)
         neighbor_union = [0] * total
-        consider = table.consider
+        step = table.join_step(cost_model)
 
         for mask in range(1, total):
             low = mask & -mask
@@ -133,7 +133,7 @@ class DPsubBasic(JoinOrderer):
                 ):
                     counters.csg_cmp_pair_counter += 1
                     counters.create_join_tree_calls += 1
-                    consider(cost_model, table[left], table[right])
+                    step(left, right)
                 left = (left - mask) & mask
 
         counters.ono_lohman_counter = counters.csg_cmp_pair_counter // 2

@@ -133,11 +133,14 @@ class CostModel(abc.ABC):
     def price(self, left: JoinTree, right: JoinTree) -> tuple[float, float, str]:
         """Cost a join without building the tree node.
 
-        Returns ``(cardinality, total_cost, operator)``. The DP
-        algorithms price every candidate pair but materialize a tree
-        only for winners (see :meth:`repro.core.base.PlanTable.consider`),
-        which keeps the per-candidate cost close to the counter model
-        of the paper.
+        Returns ``(cardinality, total_cost, operator)``. Under an
+        asymmetric or non-separable model the DP algorithms price every
+        candidate pair but materialize a tree only for winners (see
+        :meth:`repro.core.base.PlanTable.consider`), which keeps the
+        per-candidate cost close to the counter model of the paper.
+        Symmetric separable models skip this call per pair: the table's
+        set-level step (:meth:`repro.core.base.PlanTable.join_step`)
+        does the same arithmetic on relation sets.
         """
         cardinality = self._estimator.join_cardinality(left, right)
         cost, operator = self._join_cost(left, right, cardinality)

@@ -87,6 +87,28 @@ class CardinalityEstimator:
         self._cache[union] = estimate
         return estimate
 
+    def split_cardinality(self, left: int, right: int) -> float:
+        """:meth:`join_cardinality` for two disjoint relation sets.
+
+        The same first-visit memo and the same product, in the same
+        order, with each side's estimate read from the memo instead of
+        a plan. So the set-level DP step
+        (:meth:`repro.core.base.PlanTable.join_step`) and a priced
+        ``CreateJoinTree`` over trees this estimator costed get
+        bit-identical numbers. Both sides must already be in the memo:
+        base relations are, and so is every set a join was estimated
+        for.
+        """
+        union = left | right
+        cache = self._cache
+        cached = cache.get(union)
+        if cached is not None:
+            return cached
+        selectivity = self._graph.crossing_selectivity(left, right)
+        estimate = cache[left] * cache[right] * selectivity
+        cache[union] = estimate
+        return estimate
+
     def set_cardinality(self, mask: int) -> float:
         """Estimated rows of the join of all relations in ``mask``.
 

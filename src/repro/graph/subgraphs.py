@@ -18,6 +18,14 @@ graphs (they raise otherwise unless ``trust_numbering=True``).
 
 All sets are bitsets. ``B_i`` from the paper (the nodes with label at
 most ``i``) is the bitmask ``(1 << (i + 1)) - 1``.
+
+The recursion of ``EnumerateCsgRec`` runs on an explicit stack, and
+each recursion level builds its emissions as one list, so an emitted
+set passes through one generator frame however deep it was found. Each
+set carries its reach (itself plus its neighbors), so ``N(S)`` is one
+AND. The pair stream builds the complements of one csg as one list
+when it reaches that csg; :func:`enumerate_csg` stays lazy per csg.
+Emission order is the paper's, set for set.
 """
 
 from __future__ import annotations
@@ -44,6 +52,62 @@ def _check_numbering(graph: QueryGraph, trust_numbering: bool) -> None:
         )
 
 
+def _levels(
+    graph: QueryGraph,
+    subset: int,
+    excluded: int,
+    max_size: int | None,
+) -> Iterator[list[int]]:
+    """``EnumerateCsgRec(G, S, X)``'s emissions, one list per recursion level.
+
+    One generator frame for the whole recursion: ``pending`` holds the
+    expansions still to make, the next on top, so sets leave in the
+    recursive order (a level's emissions, then each of them expanded
+    depth first) without being re-yielded through one frame per level.
+    Each set travels with its reach (the set and all its neighbors), so
+    ``N(S)`` costs one AND instead of a walk over the set's relations.
+    """
+    neighbors = graph.neighbor_masks
+    pending = [(subset, graph.neighborhood(subset) | subset, excluded)]
+    while pending:
+        grown, reach, excluded = pending.pop()
+        headroom = 0
+        if max_size is not None:
+            headroom = max_size - grown.bit_count()
+            if headroom <= 0:
+                continue
+        neighborhood = reach & ~(grown | excluded)
+        if neighborhood == 0:
+            continue
+        excluded |= neighborhood
+        if neighborhood & (neighborhood - 1) == 0:
+            # One new neighbor (every level of a chain or cycle).
+            grown |= neighborhood
+            yield [grown]
+            reach |= neighbors[neighborhood.bit_length() - 1]
+            pending.append((grown, reach, excluded))
+            continue
+        # S ∪ S' for every non-empty S' ⊆ N, ascending. The reach of
+        # S ∪ S' extends that of S ∪ (S' minus its lowest node), which
+        # ascending order reaches first.
+        level = []
+        expansions = []
+        reach_of = {0: reach}
+        grow = neighborhood & -neighborhood
+        while True:
+            low = grow & -grow
+            grown_reach = reach_of[grow ^ low] | neighbors[low.bit_length() - 1]
+            reach_of[grow] = grown_reach
+            if max_size is None or grow.bit_count() <= headroom:
+                level.append(grown | grow)
+                expansions.append((grown | grow, grown_reach, excluded))
+            if grow == neighborhood:
+                break
+            grow = (grow - neighborhood) & neighborhood
+        yield level
+        pending += reversed(expansions)
+
+
 def enumerate_csg_rec(
     graph: QueryGraph,
     subset: int,
@@ -56,34 +120,16 @@ def enumerate_csg_rec(
     neighborhood ``N = N(S) \\ X`` (subsets first), then recurses into
     each expansion with ``X ∪ N`` excluded — exactly the paper's two
     consecutive loops, which together guarantee duplicate-freeness and
-    a subsets-before-supersets emission order.
+    a subsets-before-supersets emission order. Each recursion level's
+    emissions are built as one list; the recursion itself runs on an
+    explicit stack (see :func:`_levels`).
 
     ``max_size`` prunes the enumeration to sets of at most that many
     nodes (used by bounded DP such as IDP); growth is monotone, so
     pruning loses exactly the over-sized sets and nothing else.
     """
-    neighborhood = graph.neighborhood(subset) & ~excluded
-    if neighborhood == 0:
-        return
-    if max_size is None:
-        for grow in bitset.iter_all_subsets(neighborhood):
-            yield subset | grow
-        for grow in bitset.iter_all_subsets(neighborhood):
-            yield from enumerate_csg_rec(
-                graph, subset | grow, excluded | neighborhood
-            )
-        return
-    headroom = max_size - bitset.popcount(subset)
-    if headroom <= 0:
-        return
-    for grow in bitset.iter_all_subsets(neighborhood):
-        if bitset.popcount(grow) <= headroom:
-            yield subset | grow
-    for grow in bitset.iter_all_subsets(neighborhood):
-        if bitset.popcount(grow) < headroom:
-            yield from enumerate_csg_rec(
-                graph, subset | grow, excluded | neighborhood, max_size
-            )
+    for level in _levels(graph, subset, excluded, max_size):
+        yield from level
 
 
 def enumerate_csg(
@@ -108,7 +154,8 @@ def enumerate_csg(
         start_mask = bitset.bit(start)
         yield start_mask
         lower_or_equal = (start_mask << 1) - 1  # B_i = {v_j | j <= i}
-        yield from enumerate_csg_rec(graph, start_mask, lower_or_equal, max_size)
+        for level in _levels(graph, start_mask, lower_or_equal, max_size):
+            yield from level
 
 
 def enumerate_cmp(
@@ -128,10 +175,21 @@ def enumerate_cmp(
     _check_numbering(graph, trust_numbering)
     if subset == 0:
         raise GraphError("EnumerateCmp requires a non-empty S1")
+    yield from _complements(graph, subset, max_size)
+
+
+def _complements(
+    graph: QueryGraph, subset: int, max_size: int | None
+) -> list[int]:
+    """:func:`enumerate_cmp`'s emissions for ``subset``, as one list."""
+    complements: list[int] = []
+    if max_size is not None and max_size < 1:
+        return complements
     min_mask = subset & -subset
     lower_or_equal = (min_mask << 1) - 1  # B_{min(S1)}
     excluded = lower_or_equal | subset
     neighborhood = graph.neighborhood(subset) & ~excluded
+    neighbors = graph.neighbor_masks
     # Descending node order, per the paper's "for all v_i in N by
     # descending i". Each start node v_i excludes X ∪ B_i(N) — the
     # lower-numbered neighbors, which produce the supersets containing
@@ -139,23 +197,17 @@ def enumerate_cmp(
     # exactly this; transcriptions that exclude all of N here lose
     # every complement spanning two first-generation neighbors, e.g.
     # ({0},{1,2}) on a triangle.)
-    if max_size is not None and max_size < 1:
-        return
-    for start in _descending_bits(neighborhood):
-        start_mask = bitset.bit(start)
-        yield start_mask
-        lower_neighbors = ((start_mask << 1) - 1) & neighborhood  # B_i(N)
-        yield from enumerate_csg_rec(
-            graph, start_mask, excluded | lower_neighbors, max_size
-        )
-
-
-def _descending_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits in descending order."""
-    while mask:
-        index = mask.bit_length() - 1
-        yield index
-        mask ^= 1 << index
+    while neighborhood:
+        start = neighborhood.bit_length() - 1
+        start_mask = 1 << start
+        complements.append(start_mask)
+        # What is left of N is v_i and the nodes below it: B_i(N).
+        start_excluded = excluded | neighborhood
+        neighborhood ^= start_mask
+        if neighbors[start] & ~start_excluded:
+            for level in _levels(graph, start_mask, start_excluded, max_size):
+                complements += level
+    return complements
 
 
 def enumerate_csg_cmp_pairs(
@@ -170,23 +222,20 @@ def enumerate_csg_cmp_pairs(
     (``min(S1) < min(S2)``). When a pair is emitted, the optimal plans
     of all connected subsets of ``S1`` and of ``S2`` are already
     computable from previously emitted pairs — the property DPccp
-    needs (paper §3.1).
+    needs (paper §3.1). The stream is lazy per csg ``S1``: its
+    complements are built as one list when ``S1`` is reached.
 
     ``max_union_size`` restricts the stream to pairs with
     ``|S1| + |S2| <= max_union_size``, pruning the enumeration itself
     (not just filtering) — the bounded-DP mode IDP uses.
     """
     _check_numbering(graph, trust_numbering)
-    if max_union_size is None:
-        for left in enumerate_csg(graph, trust_numbering=True):
-            for right in enumerate_cmp(graph, left, trust_numbering=True):
-                yield left, right
-        return
+    bounded = max_union_size is not None
     for left in enumerate_csg(
-        graph, trust_numbering=True, max_size=max_union_size - 1
+        graph,
+        trust_numbering=True,
+        max_size=max_union_size - 1 if bounded else None,
     ):
-        headroom = max_union_size - bitset.popcount(left)
-        for right in enumerate_cmp(
-            graph, left, trust_numbering=True, max_size=headroom
-        ):
+        headroom = max_union_size - left.bit_count() if bounded else None
+        for right in _complements(graph, left, headroom):
             yield left, right

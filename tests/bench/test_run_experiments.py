@@ -65,3 +65,32 @@ class TestWriteExperimentsMd:
         text = target.read_text()
         assert "ONLY" in text
         assert "## fig8" not in text
+
+    def test_existing_file_keeps_what_was_not_regenerated(self, tmp_path):
+        target = tmp_path / "EXPERIMENTS.md"
+        target.write_text(
+            "# Experiments\n\nHand-written preamble.\n\n"
+            "## fig3\n\n```\nFIG3-OLD\n```\n\n"
+            "## fig8\n\n```\nFIG8-STALE\n## not a heading inside a fence\n```\n\n"
+            "## hit path\n\nHand-written section.\n\n"
+            "```\n## model\n```\n"
+        )
+        write_experiments_md(
+            target, {"fig8": "FIG8-NEW", "fig9": "FIG9-NEW"}, budget=7
+        )
+        text = target.read_text()
+        assert "FIG8-STALE" not in text
+        assert "not a heading inside a fence" not in text
+        assert text.startswith("# Experiments\n\nHand-written preamble.\n")
+        assert "FIG3-OLD" in text
+        assert "Hand-written section." in text
+        assert text.count("## fig8") == 1
+        # Replaced in place; the new fig9 follows fig8, before the
+        # hand-written section that followed the stale fig8.
+        assert (
+            text.index("FIG3-OLD")
+            < text.index("FIG8-NEW")
+            < text.index("FIG9-NEW")
+            < text.index("## hit path")
+        )
+        assert text.endswith("```\n## model\n```\n")

@@ -1,24 +1,26 @@
 """Overhead guard: obs off means no obs work on the enumeration hot path.
 
-Two layers of protection:
+Two layers of protection, both deterministic:
 
 * a *structural* guarantee — with instrumentation enabled, the number
   of obs API calls per run is a small constant (span + one counter
   publication), never proportional to ``InnerCounter``; with it
   disabled (``None``), the enumerator cannot touch obs at all because
   no object is ever passed in. This is the property that actually
-  keeps the fast path fast, and it is deterministic.
-* a *timing* spot-check — instrumented and uninstrumented runs of the
-  same enumeration are indistinguishable up to scheduler noise. The
-  design target is <= 5% overhead; the assertion uses a wider margin
-  (25%) because CI machines jitter far more than the obs layer costs,
-  while a per-inner-iteration regression (the bug this guards against)
-  would show up as 2-10x, not 1.25x.
+  keeps the fast path fast.
+* a *call-count* check — an instrumented run makes the same Python
+  function calls as an uninstrumented one plus a constant: the same
+  number on a clique of 4 and of 9 relations, far below the ~19k
+  inner iterations of the larger one. An obs call on the inner loop
+  (the bug this guards against) would add one call or more per
+  iteration. Wall time is left to the benches: a timed ratio here
+  failed on loaded hosts without any change to the code.
 """
 
 from __future__ import annotations
 
-import time
+import gc
+import sys
 
 from repro.core import DPccp, DPsub
 from repro.graph.generators import chain_graph, clique_graph
@@ -80,30 +82,50 @@ class TestStructuralGuarantee:
         assert plain.table_probes == observed.table_probes
 
 
-def _min_runtime(run, repeats: int = 5) -> float:
-    """Min-of-N wall time — the standard noise-resistant micro timing."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
+def _python_calls(run) -> int:
+    """Python function calls made by ``run()`` (``sys.setprofile`` events).
+
+    The cyclic collector is off meanwhile, so finalizers of garbage
+    left by earlier tests cannot add calls at random points.
+    """
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
         run()
-        best = min(best, time.perf_counter() - started)
-    return best
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
 
 
 class TestTimingGuard:
     def test_instrumented_run_is_not_slower(self):
-        graph = clique_graph(9)  # ~19k inner iterations per run
         algorithm = DPsub()
         obs = Instrumentation()
-        # Warm up both paths (bytecode caches, branch history).
-        algorithm.optimize(graph)
-        algorithm.optimize(graph, instrumentation=obs)
-        disabled = _min_runtime(lambda: algorithm.optimize(graph))
-        enabled = _min_runtime(
-            lambda: algorithm.optimize(graph, instrumentation=obs)
+        added = {}
+        for n in (4, 9):
+            graph = clique_graph(n)
+            # Warm up both paths (lazy imports, first-use caches).
+            algorithm.optimize(graph)
+            algorithm.optimize(graph, instrumentation=obs)
+            disabled = _python_calls(lambda: algorithm.optimize(graph))
+            enabled = _python_calls(
+                lambda: algorithm.optimize(graph, instrumentation=obs)
+            )
+            added[n] = enabled - disabled
+        inner = algorithm.optimize(clique_graph(9)).counters.inner_counter
+        assert inner > 18_000
+        assert added[9] == added[4], (
+            f"instrumentation added {added[4]} Python calls on clique-4 but "
+            f"{added[9]} on clique-9 — obs work leaked onto the hot path"
         )
-        assert enabled <= disabled * 1.25, (
-            f"instrumented enumeration {enabled * 1000:.2f}ms vs "
-            f"uninstrumented {disabled * 1000:.2f}ms — obs work leaked "
-            "onto the hot path"
-        )
+        assert 0 < added[9] < inner // 100
