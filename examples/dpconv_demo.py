@@ -32,9 +32,7 @@ def main() -> None:
 
     contenders = [("DPsub", DPsub()), ("DPconv[python]", DPconv(backend="python"))]
     if _numpy_module() is not None:
-        contenders.append(
-            ("DPconv[numpy]", DPconv(backend="numpy", vector_min_relations=2))
-        )
+        contenders.append(("DPconv[numpy]", DPconv(backend="numpy")))
     else:
         print("(numpy not available — showing the stdlib sweep only)\n")
 

@@ -19,14 +19,10 @@ artifact meaningful on the stdlib-only CI hosts.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
+from repro.bench.reporting import host_facts, write_json
 from repro.catalog.synthetic import random_catalog
 from repro.core.dpccp import DPccp
 from repro.core.dpconv import DPconv
@@ -40,7 +36,6 @@ __all__ = [
     "REFERENCE_ALGORITHMS",
     "run_dpconv_trajectory",
     "render_dpconv_bench",
-    "write_dpconv_bench",
 ]
 
 #: Sizes per topology for the full artifact. Cliques stop where the
@@ -68,13 +63,6 @@ REFERENCE_ALGORITHMS = ("DPsize", "DPsub", "DPccp")
 #: recorded, never silently.
 DEFAULT_CELL_BUDGET_SECONDS = 30.0
 
-
-def _host_facts() -> dict:
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-    }
 
 
 def _numpy_version() -> str | None:
@@ -126,9 +114,7 @@ def run_dpconv_trajectory(
     }
     contenders = {"dpconv-python": DPconv(backend="python")}
     if numpy_version is not None:
-        contenders["dpconv-numpy"] = DPconv(
-            backend="numpy", vector_min_relations=2
-        )
+        contenders["dpconv-numpy"] = DPconv(backend="numpy")
 
     entries: list[dict] = []
     crossover: dict[str, dict] = {}
@@ -173,7 +159,7 @@ def run_dpconv_trajectory(
 
     return {
         "benchmark": "dpconv_trajectory",
-        "host": _host_facts(),
+        "host": host_facts(),
         "numpy": numpy_version,
         "seed": seed,
         "repeats": repeats,
@@ -292,12 +278,6 @@ def render_dpconv_bench(results: dict) -> str:
     return "\n".join(lines)
 
 
-def write_dpconv_bench(path: str | Path, results: dict) -> Path:
-    """Write the results dict as JSON; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
-
 
 def _cells_with_verdict(results: dict, verdict: bool | None) -> list[str]:
     return [
@@ -337,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(render_dpconv_bench(results))
     if args.json_out:
-        path = write_dpconv_bench(args.json_out, results)
+        path = write_json(args.json_out, results)
         print(f"wrote {path}")
     unverified = _cells_with_verdict(results, None)
     if unverified:

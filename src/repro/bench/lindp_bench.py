@@ -23,14 +23,11 @@ with a recorded reason, never silently (the honesty rule shared by
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import sys
 import time
-from pathlib import Path
 
+from repro.bench.reporting import host_facts, write_json
 from repro.core.adaptive import AdaptiveOptimizer
 from repro.core.dpccp import DPccp
 from repro.core.dpsub import DPsub
@@ -50,7 +47,6 @@ __all__ = [
     "run_lindp_bench",
     "check_lindp_gate",
     "render_lindp_bench",
-    "write_lindp_bench",
 ]
 
 #: Quality-cell sizes per topology. Chains/stars/cycles go to the
@@ -98,13 +94,6 @@ LADDER_SECONDS_GATE = 10.0
 #: a different accumulation order.
 _COST_REL_TOL = 1e-9
 
-
-def _host_facts() -> dict:
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-    }
 
 
 def _exact_reference(topology: str) -> tuple[str, object]:
@@ -182,7 +171,7 @@ def run_lindp_bench(
 
     return {
         "benchmark": "lindp_ladder",
-        "host": _host_facts(),
+        "host": host_facts(),
         "seed": seed,
         "gates": {
             "quality_ratio": QUALITY_RATIO_GATE,
@@ -266,12 +255,6 @@ def render_lindp_bench(results: dict) -> str:
     return "\n".join(lines)
 
 
-def write_lindp_bench(path: str | Path, results: dict) -> Path:
-    """Write the results dict as JSON; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
-
 
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.bench.lindp_bench [--smoke] [--json-out PATH]``."""
@@ -300,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(render_lindp_bench(results))
     if args.json_out:
-        path = write_lindp_bench(args.json_out, results)
+        path = write_json(args.json_out, results)
         print(f"wrote {path}")
     failures = check_lindp_gate(results)
     if failures:

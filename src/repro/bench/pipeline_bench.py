@@ -16,13 +16,10 @@ reason, so the artifact stays well-formed on any host.
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
 import time
-from pathlib import Path
 from statistics import median
 
+from repro.bench.reporting import host_facts
 from repro.core import make_algorithm
 from repro.frontend.parser import parse_query_detailed
 from repro.io import plan_to_dict
@@ -34,7 +31,6 @@ __all__ = [
     "DEFAULT_QERROR_CEILING",
     "run_pipeline_bench",
     "render_pipeline_bench",
-    "write_pipeline_bench",
     "check_pipeline_gate",
 ]
 
@@ -51,12 +47,6 @@ DEFAULT_SEED = 42
 
 _ESTIMATORS = ("independence", "statistics")
 
-
-def _host_facts() -> dict:
-    return {
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-    }
 
 
 def run_pipeline_bench(
@@ -142,7 +132,7 @@ def run_pipeline_bench(
     }
     return {
         "benchmark": "pipeline_estimation_accuracy",
-        "host": _host_facts(),
+        "host": host_facts(),
         "scale": scale,
         "seed": seed,
         "algorithm": algorithm,
@@ -203,12 +193,6 @@ def render_pipeline_bench(results: dict) -> str:
         lines.append(f"skipped: {reason}")
     return "\n".join(lines)
 
-
-def write_pipeline_bench(path: str | Path, results: dict) -> Path:
-    """Write the results dict as JSON; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def check_pipeline_gate(

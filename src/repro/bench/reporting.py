@@ -1,12 +1,18 @@
-"""ASCII rendering of experiment results.
+"""ASCII rendering of experiment results, and the bench JSON writer.
 
 Plain monospace tables, no third-party dependencies; used by the CLI,
 the standalone harness (``benchmarks/run_experiments.py``) and the
-EXPERIMENTS.md generator.
+EXPERIMENTS.md generator. :func:`host_facts` and :func:`write_json`
+are what every ``BENCH_*.json`` producer records and writes with.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.tables import Figure3Row
@@ -17,7 +23,25 @@ __all__ = [
     "render_figure3",
     "render_relative_series",
     "render_figure12",
+    "host_facts",
+    "write_json",
 ]
+
+
+def host_facts() -> dict:
+    """The host a bench ran on: CPU count, platform and Python version."""
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "platform": platform.platform(),
+        "python": sys.version.split()[0],
+    }
+
+
+def write_json(path: str | Path, results: dict) -> Path:
+    """Write a bench's results dict as JSON; returns the path written."""
+    path = Path(path)
+    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def render_table(

@@ -28,15 +28,12 @@ behind one lock) and reduced lock-convoy throughput loss, not as an
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import sys
 import threading
 import time
-from pathlib import Path
 
+from repro.bench.reporting import host_facts, write_json
 from repro.service.sharding import ShardedPlanCache
 
 __all__ = [
@@ -46,7 +43,6 @@ __all__ = [
     "DEFAULT_SHARD_COUNTS",
     "run_server_bench",
     "render_server_bench",
-    "write_server_bench",
 ]
 
 #: Hammer width: matches the service-layer concurrency battery and the
@@ -67,13 +63,6 @@ DEFAULT_SHARD_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16)
 #: Fraction of operations that refresh (put) instead of look up.
 _PUT_RATIO = 0.1
 
-
-def _host_facts() -> dict:
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-    }
 
 
 def _service_shaped_keys(universe: int) -> list[str]:
@@ -200,7 +189,7 @@ def run_server_bench(
     best = max(entries, key=lambda entry: entry["ops_per_second"])
     return {
         "benchmark": "server_cache_contention",
-        "host": _host_facts(),
+        "host": host_facts(),
         "clients": clients,
         "ops_per_client": ops_per_client,
         "key_universe": key_universe,
@@ -263,12 +252,6 @@ def render_server_bench(results: dict) -> str:
     )
 
 
-def write_server_bench(path: str | Path, results: dict) -> Path:
-    """Write the results dict as JSON; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
-
 
 def main(argv: list[str] | None = None) -> int:
     """Run the hammer and write ``BENCH_server.json``."""
@@ -313,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         key_universe=universe,
     )
     print(render_server_bench(results))
-    path = write_server_bench(args.out, results)
+    path = write_json(args.out, results)
     print(f"\nresults written to {path}")
     return 0
 

@@ -989,8 +989,8 @@ def _command_pipeline(args: argparse.Namespace) -> int:
         check_pipeline_gate,
         render_pipeline_bench,
         run_pipeline_bench,
-        write_pipeline_bench,
     )
+    from repro.bench.reporting import write_json
     from repro.pipeline import run_pipeline, tpch_workload
 
     if args.query is None:
@@ -999,7 +999,7 @@ def _command_pipeline(args: argparse.Namespace) -> int:
         )
         print(render_pipeline_bench(results))
         if args.json_out is not None:
-            path = write_pipeline_bench(args.json_out, results)
+            path = write_json(args.json_out, results)
             print(f"\nresults written to {path}")
         failures = check_pipeline_gate(results)
         if failures:

@@ -8,12 +8,15 @@ counters from the pseudocode (``InnerCounter``, ``CsgCmpPairCounter``,
 the concrete algorithm.
 
 The paper's ``CreateJoinTree``-and-compare step lives in one place,
-:meth:`PlanTable.join_step`, and every DP enumerator calls it once per
-csg-cmp-pair orientation, so they all pay the same per-pair cost. Under
-a symmetric separable cost model (C_out) the step works on relation
-sets: per set it keeps the cost, the cardinality and the winning left
-half, and the plan's trees are built on demand when the table is read.
-Other models, and tables that must see every candidate as a tree
+:meth:`PlanTable.join_step`, and every DP enumerator that visits
+csg-cmp pairs calls it once per pair orientation: DPsize, DPsub,
+DPccp, IDP-1's bounded passes and the hypergraph DPhyp among them. So
+they all pay the same per-pair cost, and only this module knows how a
+candidate join is priced and compared. Under a symmetric separable
+cost model (C_out) the step works on relation sets: per set it keeps
+the cost, the cardinality and the winning left half, and the plan's
+trees are built on demand when the table is read. Other models, and
+tables that must see every candidate as a tree
 (:class:`~repro.core.kbest.KBestPlanTable`), price each candidate.
 """
 
@@ -152,6 +155,10 @@ class PlanTable:
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._costs
+
+    def cost(self, mask: int) -> float:
+        """Cost of ``mask``'s entry, tree or set, without building a tree."""
+        return self._costs[mask]
 
     def __len__(self) -> int:
         return len(self._costs)

@@ -21,6 +21,11 @@ runs on a renumbered twin and every emitted set is translated back to
 the original numbering, once per set, before touching the plan table,
 so plans, costs and relation names all stay in the caller's index
 space.
+
+The loop itself, :func:`_pair_pass`, is shared with IDP-1
+(:mod:`repro.core.idp`): its bounded passes run it with a cap on the
+pair's size and a translation from each working node to the relations
+of the block it stands for.
 """
 
 from __future__ import annotations
@@ -49,41 +54,68 @@ class DPccp(JoinOrderer):
         table: PlanTable,
         counters: CounterSet,
     ) -> None:
-        # original[S]: an enumerated set in the caller's numbering, or
-        # None when the graph is BFS-numbered and needs no translation.
-        original: dict[int, int] | None = None
-        numbered = graph
-        if not graph.is_bfs_numbered():
-            numbered, old_of_new = graph.bfs_renumbered()
-            # bit i of an enumerated mask denotes original relation
-            # old_of_new[i]; precompute the per-bit translation.
-            bit_map = [bitset.bit(old) for old in old_of_new]
-            original = {}
+        _pair_pass(
+            graph, [bitset.bit(index) for index in range(graph.n_relations)],
+            table, cost_model, counters,
+        )
 
-        step = table.join_step(cost_model)
-        both_orders = not cost_model.symmetric
-        pairs = 0
-        for left in enumerate_csg(numbered, trust_numbering=True):
-            rights: Iterable[int] = enumerate_cmp(
-                numbered, left, trust_numbering=True
-            )
-            if original is not None:
-                # Each csg is translated once, when the csg stream
-                # emits it. Every S2 has a larger minimum than S1, so
-                # the stream emitted (and translated) it earlier.
-                translated = _translate_mask(left, bit_map)
-                original[left] = translated
-                left = translated
-                rights = [original[right] for right in rights]
-            for right in rights:
-                pairs += 1
-                step(left, right)
-                if both_orders:
-                    step(right, left)
-        counters.inner_counter += pairs
-        counters.ono_lohman_counter += pairs
-        counters.csg_cmp_pair_counter = 2 * counters.ono_lohman_counter
-        counters.create_join_tree_calls += 2 * pairs if both_orders else pairs
+
+def _pair_pass(
+    graph: QueryGraph,
+    bit_map: list[int],
+    table: PlanTable,
+    cost_model: CostModel,
+    counters: CounterSet,
+    max_union_size: int | None = None,
+) -> None:
+    """Offer every csg-cmp-pair of ``graph`` to ``table``'s join step.
+
+    ``bit_map[i]`` is the relation set, in the table's numbering, that
+    node ``i`` of ``graph`` stands for: relation ``i`` for DPccp, a
+    committed block's relations for IDP-1. Each pair is offered in both
+    orders under an asymmetric model, in one under a symmetric one, and
+    counted. ``max_union_size`` limits the pass to pairs of at most that
+    many nodes (IDP-1's bounded DP).
+    """
+    if not graph.is_bfs_numbered():
+        graph, old_of_new = graph.bfs_renumbered()
+        bit_map = [bit_map[old] for old in old_of_new]
+    # original[S]: an enumerated set in the table's numbering, or None
+    # when every node i stands for relation i and needs no translation.
+    original: dict[int, int] | None = None
+    if any(mask != 1 << node for node, mask in enumerate(bit_map)):
+        original = {}
+    csg_cap = None if max_union_size is None else max_union_size - 1
+    step = table.join_step(cost_model)
+    both_orders = not cost_model.symmetric
+    pairs = 0
+    for left in enumerate_csg(graph, trust_numbering=True, max_size=csg_cap):
+        rights: Iterable[int] = enumerate_cmp(
+            graph,
+            left,
+            trust_numbering=True,
+            max_size=(
+                None if max_union_size is None
+                else max_union_size - left.bit_count()
+            ),
+        )
+        if original is not None:
+            # Each csg is translated once, when the csg stream emits
+            # it. Every S2 has a larger minimum than S1 and fits the
+            # cap, so the stream emitted (and translated) it earlier.
+            translated = _translate_mask(left, bit_map)
+            original[left] = translated
+            left = translated
+            rights = [original[right] for right in rights]
+        for right in rights:
+            pairs += 1
+            step(left, right)
+            if both_orders:
+                step(right, left)
+    counters.inner_counter += pairs
+    counters.ono_lohman_counter += pairs
+    counters.csg_cmp_pair_counter = 2 * counters.ono_lohman_counter
+    counters.create_join_tree_calls += 2 * pairs if both_orders else pairs
 
 
 def _translate_mask(mask: int, bit_map: list[int]) -> int:

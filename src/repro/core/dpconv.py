@@ -109,27 +109,19 @@ class DPconv(JoinOrderer):
             sweep). All backends produce the same cost table and the
             same counters; on exact cost ties the recorded winning
             split may differ, so plans are compared by cost, not shape.
-        vector_min_relations: ``auto`` switches to numpy at this size.
+            ``"auto"`` switches to numpy at
+            :data:`DEFAULT_VECTOR_MIN_RELATIONS` relations.
     """
 
     name = "DPconv"
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        vector_min_relations: int = DEFAULT_VECTOR_MIN_RELATIONS,
-    ) -> None:
+    def __init__(self, backend: str = "auto") -> None:
         if backend not in _BACKENDS:
             raise OptimizerError(
                 f"unknown DPconv backend {backend!r}; expected one of: "
                 + ", ".join(_BACKENDS)
             )
-        if vector_min_relations < 2:
-            raise OptimizerError(
-                f"vector_min_relations must be >= 2, got {vector_min_relations}"
-            )
         self._backend = backend
-        self._vector_min_relations = vector_min_relations
 
     def resolved_backend(self, n_relations: int) -> str:
         """Which sweep backend a query of this size would use."""
@@ -147,7 +139,7 @@ class DPconv(JoinOrderer):
                     "importable; use backend='python' or 'auto'"
                 )
             return numpy
-        if numpy is None or n_relations < self._vector_min_relations:
+        if numpy is None or n_relations < DEFAULT_VECTOR_MIN_RELATIONS:
             return None
         return numpy
 

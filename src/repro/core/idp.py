@@ -22,19 +22,26 @@ Properties:
 
 Implementation notes: the *working graph* (with blocks contracted to
 single nodes) drives only the enumeration — connectivity and the
-csg-cmp-pair stream. All plans stay in original-query space, priced by
-the caller's cost model, so costs and cardinalities never need
-translation and any cost model works unchanged.
+csg-cmp-pair stream. Each iteration runs DPccp's pair pass
+(:func:`repro.core.dpccp._pair_pass`) on it, capped at the block size,
+into a fresh :class:`~repro.core.base.PlanTable` seeded with the
+nodes' committed plans; the pass translates each working set to the
+original relations it stands for. So all plans stay in original-query
+space, priced and compared by the table's one join step
+(:meth:`~repro.core.base.PlanTable.join_step`) under the caller's cost
+model, costs and cardinalities never need translation, and any cost
+model works unchanged. Under C_out the step builds no trees: only the
+committed blocks' joins and the final plan's are built.
 """
 
 from __future__ import annotations
 
 from repro import bitset
 from repro.core.base import CounterSet, JoinOrderer, PlanTable
+from repro.core.dpccp import _pair_pass
 from repro.cost.base import CostModel
 from repro.errors import OptimizerError
 from repro.graph.querygraph import JoinEdge, QueryGraph
-from repro.graph.subgraphs import enumerate_csg_cmp_pairs
 from repro.plans.jointree import JoinTree
 
 __all__ = ["IterativeDP"]
@@ -78,85 +85,44 @@ class IterativeDP(JoinOrderer):
         while True:
             n = working_graph.n_relations
             block_size = min(self._k, n)
-            blocks = self._bounded_dp(
-                working_graph, cost_model, node_plans, counters, block_size
+            # Bounded DP over the working graph, in original space: a
+            # fresh table seeded with the nodes' committed plans, filled
+            # by DPccp's pair pass up to block_size working nodes.
+            blocks = PlanTable()
+            for plan in node_plans:
+                blocks.adopt(plan)
+            _pair_pass(
+                working_graph,
+                [plan.relations for plan in node_plans],
+                blocks,
+                cost_model,
+                counters,
+                max_union_size=block_size,
             )
             if n <= self._k:
-                table.register(blocks[working_graph.all_relations])
+                table.register(blocks[graph.all_relations])
                 return
-            best_mask, best_block = min(
+            # One relation per working node: an entry's node count is
+            # how many of them it holds. min() keeps the first of equal
+            # costs, i.e. the block the enumeration reached first.
+            representatives = 0
+            for plan in node_plans:
+                representatives |= plan.relations & -plan.relations
+            best = min(
                 (
-                    (mask, plan)
-                    for mask, plan in blocks.items()
-                    if bitset.popcount(mask) == block_size
+                    mask
+                    for mask in blocks.masks()
+                    if (mask & representatives).bit_count() == block_size
                 ),
-                key=lambda entry: entry[1].cost,
+                key=blocks.cost,
             )
+            block_nodes = 0
+            for node, plan in enumerate(node_plans):
+                if plan.relations & best:
+                    block_nodes |= bitset.bit(node)
             working_graph, node_plans = self._contract(
-                working_graph, node_plans, best_mask, best_block
+                working_graph, node_plans, block_nodes, blocks[best]
             )
-
-    # ------------------------------------------------------------------
-    # Bounded DP over the working graph
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _bounded_dp(
-        graph: QueryGraph,
-        model: CostModel,
-        node_plans: list[JoinTree],
-        counters: CounterSet,
-        cap: int,
-    ) -> dict[int, JoinTree]:
-        """Best plan per connected working set of at most ``cap`` nodes.
-
-        Keys are working-node bitsets; values are original-space trees
-        (the leaves of working nodes are their committed subplans), so
-        pricing happens directly with the caller's cost model. The
-        enumeration keys plans by BFS-numbered masks; the table is
-        translated to working masks once, in insertion order, so the
-        caller's ``min`` over blocks still breaks ties by the first
-        block the enumeration reached. Each orientation is priced
-        without building a tree, and a tree is built only when it beats
-        the incumbent.
-        """
-        if graph.is_bfs_numbered():
-            numbered, order = graph, list(range(graph.n_relations))
-        else:
-            numbered, order = graph.bfs_renumbered()
-        bit_map = [bitset.bit(old) for old in order]
-
-        plans: dict[int, JoinTree] = {
-            bitset.bit(position): node_plans[old]
-            for position, old in enumerate(order)
-        }
-
-        symmetric = model.symmetric
-        price = model.price
-        join = JoinTree.join
-        for left, right in enumerate_csg_cmp_pairs(
-            numbered, trust_numbering=True, max_union_size=cap
-        ):
-            counters.inner_counter += 1
-            counters.ono_lohman_counter += 1
-            counters.csg_cmp_pair_counter += 2
-            plan_left = plans[left]
-            plan_right = plans[right]
-            combined = left | right
-            incumbent = plans.get(combined)
-            counters.create_join_tree_calls += 1
-            cardinality, cost, operator = price(plan_left, plan_right)
-            if incumbent is None or cost < incumbent.cost:
-                incumbent = join(plan_left, plan_right, cardinality, cost, operator)
-                plans[combined] = incumbent
-            if not symmetric:
-                counters.create_join_tree_calls += 1
-                cardinality, cost, operator = price(plan_right, plan_left)
-                if cost < incumbent.cost:
-                    plans[combined] = join(
-                        plan_right, plan_left, cardinality, cost, operator
-                    )
-        return {_translate(mask, bit_map): plan for mask, plan in plans.items()}
 
     # ------------------------------------------------------------------
     # Graph contraction around a committed block
@@ -218,11 +184,3 @@ class IterativeDP(JoinOrderer):
         new_plans = [node_plans[old] for old in keep] + [block]
         return new_graph, new_plans
 
-
-def _translate(mask: int, bit_map: list[int]) -> int:
-    result = 0
-    while mask:
-        low = mask & -mask
-        result |= bit_map[low.bit_length() - 1]
-        mask ^= low
-    return result

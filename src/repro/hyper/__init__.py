@@ -21,7 +21,7 @@ the reproduced paper:
 
 from repro.hyper.builder import HypergraphBuilder
 from repro.hyper.cost import HyperCoutModel
-from repro.hyper.dphyp import DPhyp, HyperOptimizationResult
+from repro.hyper.dphyp import DPhyp
 from repro.hyper.exhaustive import ExhaustiveHyperOptimizer
 from repro.hyper.hypergraph import Hyperedge, Hypergraph
 
@@ -30,7 +30,6 @@ __all__ = [
     "Hypergraph",
     "HypergraphBuilder",
     "DPhyp",
-    "HyperOptimizationResult",
     "HyperCoutModel",
     "ExhaustiveHyperOptimizer",
 ]

@@ -27,12 +27,18 @@ class HyperCoutModel:
     """Plan factory and C_out coster for one hypergraph query.
 
     Mirrors the :class:`repro.cost.base.CostModel` interface (leaf /
-    join / price / ``symmetric``) so DPhyp's table logic can stay
-    aligned with the simple-graph optimizers.
+    join / price / ``symmetric`` / ``separable_join_operator``) so
+    DPhyp fills the same ``BestPlan`` table through the same join step
+    as the simple-graph optimizers.
     """
 
     name = "hyper-Cout"
     symmetric = True
+    #: No separable operator is declared, so the ``BestPlan`` table's
+    #: join step prices each candidate through :meth:`price`; the
+    #: set-level step would need this model's memo behind a
+    #: :class:`~repro.cost.cardinality.CardinalityEstimator`.
+    separable_join_operator = None
 
     def __init__(self, hypergraph: Hypergraph, catalog: Catalog | None = None) -> None:
         if catalog is None:

@@ -10,8 +10,8 @@ from repro.bench.lindp_bench import (
     check_lindp_gate,
     render_lindp_bench,
     run_lindp_bench,
-    write_lindp_bench,
 )
+from repro.bench.reporting import write_json
 
 TINY_QUALITY = {"chain": (5,), "clique": (5,)}
 TINY_LADDER = {"chain": (25,), "star": (25,)}
@@ -64,5 +64,5 @@ class TestBench:
         text = render_lindp_bench(results)
         assert "quality (LinDP vs exact vs GOO):" in text
         assert "ladder wall-clock" in text
-        path = write_lindp_bench(tmp_path / "BENCH_lindp.json", results)
+        path = write_json(tmp_path / "BENCH_lindp.json", results)
         assert json.loads(path.read_text())["benchmark"] == "lindp_ladder"

@@ -9,8 +9,8 @@ from repro.bench.server_bench import (
     main,
     render_server_bench,
     run_server_bench,
-    write_server_bench,
 )
+from repro.bench.reporting import write_json
 
 
 def _tiny_results() -> dict:
@@ -63,7 +63,7 @@ def test_render_and_write(tmp_path: Path) -> None:
     assert ("sharding wins" in report) or ("honest finding" in report)
 
     out = tmp_path / "BENCH_server.json"
-    assert write_server_bench(out, results) == out
+    assert write_json(out, results) == out
     assert json.loads(out.read_text())["benchmark"] == "server_cache_contention"
 
 

@@ -11,8 +11,9 @@ speed-ups:
   a single chain through the heap;
 * LinDP's separable sweep visits every split ``k``, infinite halves
   included;
-* IDP-1's bounded DP translates both masks of every csg-cmp-pair and
-  builds a ``JoinTree`` for every orientation it prices.
+* IDP-1's driver runs its own bounded DP per iteration, which
+  translates both masks of every csg-cmp-pair and builds a
+  ``JoinTree`` for every orientation it prices.
 
 They are slower, and they define what the planners returned before
 the speed-ups; keep them unchanged.
@@ -284,7 +285,47 @@ class ReferenceLinDP(LinDP):
 
 
 class ReferenceIterativeDP(IterativeDP):
-    """IDP-1 with a tree per priced orientation and per-pair translation."""
+    """IDP-1 with a tree per priced orientation and per-pair translation.
+
+    Holds its own driver loop as well as its block DP, so it runs none
+    of IDP-1's production enumeration; only the graph contraction
+    (``_contract``) is inherited.
+    """
+
+    def _run(
+        self,
+        graph: QueryGraph,
+        cost_model: CostModel,
+        table: PlanTable,
+        counters: CounterSet,
+    ) -> None:
+        working_graph = graph
+        # node_plans[i]: the committed (original-space) subplan that
+        # working node i stands for. Initially the base relations.
+        node_plans: list[JoinTree] = [
+            table[bitset.bit(index)] for index in range(graph.n_relations)
+        ]
+
+        while True:
+            n = working_graph.n_relations
+            block_size = min(self._k, n)
+            blocks = self._bounded_dp(
+                working_graph, cost_model, node_plans, counters, block_size
+            )
+            if n <= self._k:
+                table.register(blocks[working_graph.all_relations])
+                return
+            best_mask, best_block = min(
+                (
+                    (mask, plan)
+                    for mask, plan in blocks.items()
+                    if bitset.popcount(mask) == block_size
+                ),
+                key=lambda entry: entry[1].cost,
+            )
+            working_graph, node_plans = self._contract(
+                working_graph, node_plans, best_mask, best_block
+            )
 
     @staticmethod
     def _bounded_dp(

@@ -37,7 +37,7 @@ BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
 
 def make_dpconv(backend: str) -> DPconv:
     """A DPconv forced onto ``backend`` regardless of query size."""
-    return DPconv(backend=backend, vector_min_relations=2)
+    return DPconv(backend=backend)
 
 
 def normalized_counters(result) -> dict:
@@ -180,16 +180,12 @@ class TestBackendResolution:
         with pytest.raises(OptimizerError, match="backend"):
             DPconv(backend="fortran")
 
-    def test_rejects_bad_vector_threshold(self):
-        with pytest.raises(OptimizerError, match="vector_min_relations"):
-            DPconv(vector_min_relations=1)
-
     def test_python_backend_never_resolves_numpy(self):
         assert DPconv(backend="python").resolved_backend(20) == "python"
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not importable")
     def test_auto_switches_at_threshold(self):
-        engine = DPconv(backend="auto", vector_min_relations=8)
+        engine = DPconv(backend="auto")
         assert engine.resolved_backend(7) == "python"
         assert engine.resolved_backend(8) == "numpy"
 
@@ -202,8 +198,9 @@ class TestBackendResolution:
     def test_auto_degrades_without_numpy(self, monkeypatch):
         """No numpy anywhere → auto silently uses the stdlib sweep."""
         monkeypatch.setattr(dpconv_module, "_numpy_module", lambda: None)
-        engine = DPconv(backend="auto", vector_min_relations=2)
-        graph = clique_graph(6, selectivity=0.1)
+        engine = DPconv(backend="auto")
+        # At or above the threshold, so auto would otherwise pick numpy.
+        graph = clique_graph(9, selectivity=0.1)
         result = engine.optimize(graph)
         assert result.counters.extra["vectorized"] == 0
         reference = DPsub().optimize(graph)

@@ -8,9 +8,13 @@ so the paper's InnerCounter and #ccp cannot move. The instances cover
 the paper's shapes, random graphs, ladder-scale foreign-key queries
 and queries whose estimates overflow to inf, under both cost models.
 
+The IDP-1 reference holds its own driver and block DP; a guard makes
+every reference run fail if it reaches the production pair pass or
+the table's join step, and checks that it ran its own block DP.
+
 The work pins count calls, not time: GOO tests its pairs without
-``QueryGraph.are_connected``, and IDP-1 builds a join tree only for a
-pricing that beats the incumbent.
+``QueryGraph.are_connected``, and IDP-1 under C_out builds join trees
+only for its committed blocks and its final plan.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ import random
 
 import pytest
 
+import repro.core.dpccp as dpccp_module
+import repro.core.idp as idp_module
 import repro.core.lindp as lindp_module
 from repro.catalog.synthetic import random_catalog, uniform_catalog
-from repro.core.base import CounterSet
+from repro.core.base import CounterSet, PlanTable
 from repro.core.greedy import GreedyOperatorOrdering
 from repro.core.idp import IterativeDP
 from repro.core.ikkbz import IKKBZ, ikkbz_order_for_root
@@ -151,6 +157,7 @@ def assert_same_result(result, reference) -> None:
     assert repr(result.cost) == repr(reference.cost)
     assert result.counters.as_dict() == reference.counters.as_dict()
     assert result.table_size == reference.table_size
+    assert result.table_probes == reference.table_probes
 
 
 def reference_lindp(monkeypatch, lindp_kwargs, graph, model):
@@ -254,14 +261,40 @@ def test_lindp_matches_reference(monkeypatch, model, lindp_kwargs, case):
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("k", [2, 3, 5, 7])
 @pytest.mark.parametrize("case", params(LIGHT, TIED, LADDER, keep=idp_feasible))
-def test_idp_matches_reference(case, k, model):
+def test_idp_matches_reference(monkeypatch, case, k, model):
     graph, catalog = instance(case)
     build = MODELS[model]
     result = IterativeDP(k).optimize(graph, cost_model=build(graph, catalog))
-    reference = ref.ReferenceIterativeDP(k).optimize(
-        graph, cost_model=build(graph, catalog)
-    )
+    reference = reference_idp(monkeypatch, k, graph, build(graph, catalog))
     assert_same_result(result, reference)
+
+
+def reference_idp(monkeypatch, k, graph, model):
+    """Reference IDP-1, guarded so that it cannot run production code.
+
+    The production pair pass and the table's join step raise while it
+    runs, and its own block DP must have run.
+    """
+    def production(*args, **kwargs):
+        raise AssertionError("the IDP-1 reference reached production code")
+
+    block_dps = [0]
+    bounded_dp = ref.ReferenceIterativeDP._bounded_dp
+
+    def counted(*args):
+        block_dps[0] += 1
+        return bounded_dp(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(idp_module, "_pair_pass", production)
+        patch.setattr(dpccp_module, "_pair_pass", production)
+        patch.setattr(PlanTable, "join_step", production)
+        patch.setattr(
+            ref.ReferenceIterativeDP, "_bounded_dp", staticmethod(counted)
+        )
+        reference = ref.ReferenceIterativeDP(k).optimize(graph, cost_model=model)
+    assert block_dps[0] > 0
+    return reference
 
 
 def count_calls(monkeypatch, owner, name) -> list[int]:
@@ -293,4 +326,7 @@ class TestWorkPins:
         calls = count_calls(monkeypatch, JoinTree, "join")
         result = IterativeDP(4).optimize(graph, catalog=catalog)
         assert result.counters.create_join_tree_calls == 230
-        assert calls[0] == 171
+        # Four committed blocks of 3 joins and a final plan of 3, i.e.
+        # n - 1. The old loop built a tree for each of 171 winning
+        # pricings.
+        assert calls[0] == 15

@@ -158,6 +158,16 @@ class TestHyperedgeSemantics:
         with pytest.raises(DisconnectedGraphError):
             DPhyp().optimize(hyper)
 
+    def test_cost_model_and_catalog_rejected(self):
+        """A catalog next to a model must not be dropped in silence."""
+        rng = random.Random(5)
+        hyper = Hypergraph.from_query_graph(chain_graph(5, rng=rng))
+        model = HyperCoutModel(hyper, random_catalog(5, rng))
+        with pytest.raises(OptimizerError, match="not both"):
+            DPhyp().optimize(
+                hyper, cost_model=model, catalog=random_catalog(5, rng)
+            )
+
     def test_single_relation(self):
         hyper = Hypergraph.from_query_graph(chain_graph(1))
         result = DPhyp().optimize(hyper)

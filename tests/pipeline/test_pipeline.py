@@ -150,6 +150,7 @@ class TestCli:
         assert "estimation-accuracy gate: pass" in out
         results = json.loads(artifact.read_text())
         assert results["benchmark"] == "pipeline_estimation_accuracy"
+        assert {"cpu_count", "platform", "python"} <= set(results["host"])
         assert results["differential_plan_identity"] is True
         aggregate = results["aggregate"]
         assert (

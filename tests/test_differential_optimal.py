@@ -55,9 +55,7 @@ EXACT_ALGORITHMS: list[tuple[str, "type | object"]] = [
     ("DPconv[python]", lambda: DPconv(backend="python")),
 ]
 if _numpy_module() is not None:
-    EXACT_ALGORITHMS.append(
-        ("DPconv[numpy]", lambda: DPconv(backend="numpy", vector_min_relations=2))
-    )
+    EXACT_ALGORITHMS.append(("DPconv[numpy]", lambda: DPconv(backend="numpy")))
 
 MAX_RELATIONS = 10
 
