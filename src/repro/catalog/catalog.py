@@ -80,12 +80,6 @@ class RelationStats:
                 return stats
         return None
 
-    def with_column_stats(
-        self, column_stats: Iterable[ColumnStats]
-    ) -> "RelationStats":
-        """Copy of this entry carrying the given column statistics."""
-        return replace(self, column_stats=tuple(column_stats), pages=self.pages)
-
     def scaled(self, factor: float) -> "RelationStats":
         """Copy with cardinality scaled by ``factor`` (filter pushdown).
 

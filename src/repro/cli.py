@@ -199,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for enumeration; >= 2 plans distinct "
         "queries on a process pool (off the GIL)",
     )
-    serve.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        help="batch submission threads; default derives from --workers",
-    )
     serve.add_argument("--cache-capacity", type=int, default=1024)
     serve.add_argument("--ttl-seconds", type=float, default=None)
     serve.add_argument(
@@ -271,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="plans retained per fingerprint; >= 2 lets degraded "
-        "requests serve the cached rank-2 plan instead of a heuristic",
+        "requests serve the cached rank-2 plan instead of a ladder rung "
+        "(under --algorithm adaptive only queries routed to DPccp or "
+        "DPsub keep more than one plan)",
     )
     http_serve.add_argument("--ttl-seconds", type=float, default=None)
     http_serve.add_argument(
@@ -786,7 +782,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         breaker_cooldown_seconds=args.breaker_cooldown_seconds,
     ) as service:
         started = time.perf_counter()
-        responses = service.plan_batch(requests, concurrency=args.concurrency)
+        responses = service.plan_batch(requests)
         elapsed = time.perf_counter() - started
         stats = service.cache_stats()
         snapshot = service.snapshot()

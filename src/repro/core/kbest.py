@@ -20,7 +20,11 @@ Two capture modes, chosen per algorithm:
   candidates internally (exhaustive's champion memo, top-down
   branch-and-bound, DPconv's value-only sweep) get rank 1 from their
   own run, and ranks 2..k from one additional DPccp capture run over
-  the same instance.
+  the same instance. That pass is an exact enumeration, so it runs
+  only where the escalation ladder
+  (:meth:`repro.core.adaptive.AdaptiveOptimizer.route`) would run DPccp
+  on the graph itself. A dense graph (routed to DPconv or DPsub) or a
+  query past its class's exact ceiling keeps rank 1 only.
 
 In both modes **rank 1 is the algorithm's own plan, bit-identical to a
 plain ``optimize`` call** — the injected table preserves the base
@@ -49,7 +53,6 @@ __all__ = [
     "KBestPlanTable",
     "KBestResult",
     "KBestTracker",
-    "POSTHOC_MAX_RELATIONS",
     "k_best_plans",
     "plan_fingerprint",
 ]
@@ -219,10 +222,10 @@ class KBestResult:
             entries (small queries may not have k structurally distinct
             plans).
         capture: how ranks past 1 were obtained — ``"single"`` (k == 1,
-            a one-relation query, or a query too large for the post-hoc
-            pass, see :data:`POSTHOC_MAX_RELATIONS`), ``"inline"``
-            (in-run capture) or ``"post-hoc"`` (secondary DPccp
-            capture run).
+            a one-relation query, or a graph the router does not send
+            to DPccp under an algorithm without in-run capture),
+            ``"inline"`` (in-run capture) or ``"post-hoc"`` (secondary
+            DPccp capture run).
     """
 
     result: OptimizationResult = field(repr=False)
@@ -239,15 +242,6 @@ class KBestResult:
 #: the csg-cmp-pairs, so its candidate stream for the root set is the
 #: complete set of (optimal-subplan) top joins.
 _POSTHOC_CAPTURE = "dpccp"
-
-#: Largest query for which the post-hoc capture pass runs. The pass is
-#: a full exact DPccp enumeration — exactly the exponential wall the
-#: escalation ladder routes large queries *around* — so a 100-relation
-#: LinDP query served with ``k_best >= 2`` must not stall in capture.
-#: Beyond this bound ranks 2..k are simply unavailable (``capture ==
-#: "single"``) and the service's degraded path steps down its ladder
-#: instead of serving a retained rank-2 tree.
-POSTHOC_MAX_RELATIONS = 16
 
 
 def k_best_plans(
@@ -309,16 +303,14 @@ def k_best_plans(
     if delegate.kbest_capture:
         result = run(orderer, factory)
         capture = "inline"
-    elif graph.n_relations <= POSTHOC_MAX_RELATIONS:
+    else:
         result = run(orderer, None)
+        # The capture pass is an exact DPccp enumeration: it runs only
+        # where the router would run DPccp on this graph itself.
+        if AdaptiveOptimizer().route(graph).algorithm != _POSTHOC_CAPTURE:
+            return KBestResult(result=result, plans=(result.plan,))
         run(make_algorithm(_POSTHOC_CAPTURE), factory)
         capture = "post-hoc"
-    else:
-        # The capture pass would be an exact enumeration of an instance
-        # the primary algorithm was chosen to avoid enumerating; serve
-        # rank 1 only rather than stall (POSTHOC_MAX_RELATIONS).
-        result = run(orderer, None)
-        return KBestResult(result=result, plans=(result.plan,))
 
     # Rank 1 is the primary run's own plan (the table's tie-breaks,
     # not the tracker's); ranks 2..k are the tracker's remaining

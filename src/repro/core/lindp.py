@@ -46,12 +46,21 @@ from repro.core.greedy import GreedyOperatorOrdering
 from repro.core.ikkbz import ikkbz_order_for_root
 from repro.cost.base import CostModel
 from repro.cost.cardinality import CardinalityEstimator
-from repro.errors import OptimizerError
 from repro.graph.properties import is_tree
 from repro.graph.querygraph import QueryGraph
 from repro.plans.jointree import JoinTree
 
 __all__ = ["LinDP", "leaf_order"]
+
+#: On acyclic graphs with at most this many relations, every relation
+#: is tried as the IKKBZ root and each resulting ordering gets its own
+#: interval DP. Beyond it, orderings are ranked by a cheap left-deep
+#: C_out proxy and only the most promising :data:`MAX_DP_ROOTS` pay for
+#: a DP.
+ALL_ROOTS_LIMIT = 25
+
+#: IKKBZ orderings swept past :data:`ALL_ROOTS_LIMIT`.
+MAX_DP_ROOTS = 4
 
 
 def leaf_order(plan: JoinTree) -> list[int]:
@@ -75,28 +84,9 @@ def leaf_order(plan: JoinTree) -> list[int]:
 
 
 class LinDP(JoinOrderer):
-    """Linearized DP: IKKBZ/GOO orderings + contiguous-interval DP.
-
-    Args:
-        all_roots_limit: on acyclic graphs with at most this many
-            relations, every relation is tried as the IKKBZ root and
-            each resulting ordering gets its own interval DP. Beyond
-            it, orderings are ranked by a cheap left-deep C_out proxy
-            and only the most promising ``max_dp_roots`` pay for a DP.
-        max_dp_roots: IKKBZ orderings swept past ``all_roots_limit``.
-    """
+    """Linearized DP: IKKBZ/GOO orderings + contiguous-interval DP."""
 
     name = "LinDP"
-
-    def __init__(self, all_roots_limit: int = 25, max_dp_roots: int = 4) -> None:
-        if all_roots_limit < 1:
-            raise OptimizerError(
-                f"all_roots_limit must be >= 1, got {all_roots_limit}"
-            )
-        if max_dp_roots < 1:
-            raise OptimizerError(f"max_dp_roots must be >= 1, got {max_dp_roots}")
-        self._all_roots_limit = all_roots_limit
-        self._max_dp_roots = max_dp_roots
 
     def _run(
         self,
@@ -145,7 +135,7 @@ class LinDP(JoinOrderer):
         estimator = cost_model.estimator
         n = graph.n_relations
         if is_tree(graph):
-            if n <= self._all_roots_limit:
+            if n <= ALL_ROOTS_LIMIT:
                 orderings.extend(
                     ikkbz_order_for_root(graph, estimator, root, counters)
                     for root in range(n)
@@ -171,7 +161,7 @@ class LinDP(JoinOrderer):
                     key=lambda entry: entry[:2],
                 )
                 orderings.extend(
-                    entry[2] for entry in scored[: self._max_dp_roots]
+                    entry[2] for entry in scored[:MAX_DP_ROOTS]
                 )
         else:
             # Cyclic graph: no precedence tree for IKKBZ. BFS orders are

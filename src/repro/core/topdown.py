@@ -44,8 +44,7 @@ class TopDownBB(JoinOrderer):
 
     name = "TopDownBB"
 
-    def __init__(self, use_greedy_seed: bool = True) -> None:
-        self._use_greedy_seed = use_greedy_seed
+    def __init__(self) -> None:
         #: Plans pruned by the bound in the last run (diagnostic).
         self.pruned_partitions = 0
 
@@ -104,14 +103,11 @@ class TopDownBB(JoinOrderer):
             memo[mask] = (champion, max(budget, proven))
             return champion if champion is not None and champion.cost < budget else None
 
-        upper = _INFINITY
-        if self._use_greedy_seed:
-            seed_result = GreedyOperatorOrdering().optimize(
-                graph, cost_model=cost_model
-            )
-            upper = seed_result.cost * (1 + 1e-12)
-            table.register(seed_result.plan)
-        plan = best(graph.all_relations, upper)
+        seed_result = GreedyOperatorOrdering().optimize(
+            graph, cost_model=cost_model
+        )
+        table.register(seed_result.plan)
+        plan = best(graph.all_relations, seed_result.cost * (1 + 1e-12))
         if plan is not None:
             table.register(plan)
 

@@ -79,9 +79,6 @@ class _Scope:
         self.set_names: set[str] = set(inherited)
         self._collect(node)
 
-    def _body_statements(self, node: ast.AST) -> list[ast.stmt]:
-        return getattr(node, "body", [])
-
     def _collect(self, scope_node: ast.AST) -> None:
         if isinstance(scope_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             arguments = scope_node.args

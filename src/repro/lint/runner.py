@@ -61,13 +61,6 @@ class LintResult:
             for finding in self.findings
         )
 
-    def by_rule(self) -> dict[str, list[Finding]]:
-        """Live findings grouped by rule code, sorted codes."""
-        grouped: dict[str, list[Finding]] = {}
-        for finding in self.findings:
-            grouped.setdefault(finding.rule, []).append(finding)
-        return dict(sorted(grouped.items()))
-
 
 def run_lint(
     paths: Sequence[Path | str],

@@ -49,12 +49,6 @@ class Histogram:
         with self._lock:
             return self._count
 
-    @property
-    def sum_seconds(self) -> float:
-        """Sum of all observed durations, in seconds."""
-        with self._lock:
-            return self._sum
-
     def summary(self) -> dict[str, float | int]:
         """Point-in-time summary with p50/p95/p99 in milliseconds."""
         with self._lock:

@@ -52,21 +52,18 @@ def default_concurrency(service: "PlanService") -> int:
 
 
 def plan_batch(
-    service: "PlanService",
-    requests: Sequence["PlanRequest"],
-    *,
-    concurrency: int | None = None,
+    service: "PlanService", requests: Sequence["PlanRequest"]
 ) -> "list[PlanResponse]":
     """Plan ``requests`` through ``service``, one optimization per distinct query.
+
+    Leaders are submitted on ``min(default_concurrency(service), number
+    of distinct queries)`` threads — two submitters per service worker.
 
     Args:
         service: the :class:`~repro.service.optimizer_service.PlanService`
             to plan through.
         requests: any number of requests; duplicates (by fingerprint
             and algorithm) are detected automatically.
-        concurrency: leader-submission threads; defaults to
-            ``min(default_concurrency(service), number of distinct
-            queries)`` — two submitters per service worker.
 
     Returns:
         Responses aligned index-by-index with ``requests``.
@@ -89,8 +86,7 @@ def plan_batch(
     metrics.counter("batch_deduplicated").increment(len(requests) - len(groups))
 
     responses: "list[PlanResponse | None]" = [None] * len(requests)
-    workers = concurrency if concurrency is not None else default_concurrency(service)
-    workers = max(1, min(workers, len(groups)))
+    workers = max(1, min(default_concurrency(service), len(groups)))
     with ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="plan-batch"
     ) as pool:

@@ -783,10 +783,10 @@ class PlanService:
           — an optimal-subplans candidate the DP itself priced, and
           deliberately not the rank-1 champion, which the in-flight
           recomputation re-delivers fresh. It passes when the entry is
-          gone or holds a single plan. A service that keeps one plan
-          per entry (``k_best=1``) skips this source, so its probe
-          never counts a stale entry it cannot serve
-          (``stale_served``).
+          gone or holds a single plan (see :mod:`repro.core.kbest` for
+          which graphs keep one), and the probe counts a stale entry
+          (``stale_served``) only when it serves. A service that keeps
+          one plan per entry (``k_best=1``) skips this source.
         * the rungs of
           :meth:`repro.core.adaptive.AdaptiveOptimizer.degradation_path`
           (LinDP for exact-routed queries small enough, then GOO), run
@@ -827,8 +827,11 @@ class PlanService:
         """One degradation source's plan, algorithm label and optimize
         seconds, or ``None`` when it passes (see :meth:`_degrade`)."""
         if rung == "rank-2":
-            found = self._cache.peek_stale(self.cache_key_of(request, fingerprint))
-            if found is None or len(found[1].canonical_plans) < 2:
+            found = self._cache.peek_stale(
+                self.cache_key_of(request, fingerprint),
+                lambda entry: len(entry.canonical_plans) >= 2,
+            )
+            if found is None:
                 return None
             entry: _CacheEntry = found[1]
             plan = self._relabel(request, fingerprint, entry.canonical_plans[1])
@@ -863,16 +866,14 @@ class PlanService:
     # Batch, introspection, lifecycle
     # ------------------------------------------------------------------
 
-    def plan_batch(
-        self, requests: "list[PlanRequest]", concurrency: int | None = None
-    ) -> list[PlanResponse]:
+    def plan_batch(self, requests: "list[PlanRequest]") -> list[PlanResponse]:
         """Plan many requests, deduplicating identical fingerprints.
 
         See :func:`repro.service.batch.plan_batch`.
         """
         from repro.service.batch import plan_batch
 
-        return plan_batch(self, requests, concurrency=concurrency)
+        return plan_batch(self, requests)
 
     def fingerprint_of(
         self, graph: QueryGraph, catalog: Catalog | None = None
@@ -887,10 +888,6 @@ class PlanService:
     def cache_stats(self) -> CacheStats:
         """Plan-cache counters (aggregate when sharded)."""
         return self._cache.stats()
-
-    def cache_shard_stats(self) -> list[CacheStats]:
-        """Per-shard cache counters, each exact under its shard's lock."""
-        return self._cache.shard_stats()
 
     def clear_cache(self) -> None:
         """Drop every cached plan, the exact-instance table's included
@@ -972,11 +969,6 @@ class PlanService:
     def k_best(self) -> int:
         """Ranked plans retained per cache entry."""
         return self._k_best
-
-    @property
-    def default_algorithm(self) -> str:
-        """The algorithm used when a request does not name one."""
-        return self._algorithm
 
     @property
     def metrics(self) -> MetricsRegistry:

@@ -240,33 +240,37 @@ class PlanCache:
             self._sweep_expired()
             return len(self._entries)
 
-    def peek_stale(self, key: str) -> tuple[Literal["fresh", "stale"], Any] | None:
+    def peek_stale(
+        self, key: str, usable: Callable[[Any], bool]
+    ) -> tuple[Literal["fresh", "stale"], Any] | None:
         """Read-only probe used by the service's degraded path.
 
         Returns ``("fresh", value)`` for a live entry (without
         promoting it or counting a hit), ``("stale", value)`` for an
         entry the TTL or LRU pressure already dropped (counted as
-        ``stale_served``), and ``None`` when the key was never cached
-        or its stale copy has itself been displaced.
+        ``stale_served``), and ``None`` when the key was never cached,
+        its stale copy has itself been displaced, or ``usable(value)``
+        is false: a value the caller cannot serve is not counted.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 value, expires_at = entry
                 if expires_at is None or self._clock() < expires_at:
-                    return "fresh", value
-                # Expired but unswept: serve it as stale, park it so the
-                # live slot frees up, and account the TTL lapse.
+                    return ("fresh", value) if usable(value) else None
+                # Expired but unswept: park it so the live slot frees
+                # up, and account the TTL lapse.
                 del self._entries[key]
                 self._park_stale(key, value)
                 self._expirations.increment()
-                self._stale_served.increment()
-                return "stale", value
-            stale = self._stale.get(key)
-            if stale is not None:
-                self._stale_served.increment()
-                return "stale", stale
-            return None
+            else:
+                value = self._stale.get(key)
+                if value is None:
+                    return None
+            if not usable(value):
+                return None
+            self._stale_served.increment()
+            return "stale", value
 
     def items(self) -> list[tuple[str, Any]]:
         """Point-in-time snapshot of live entries (LRU → MRU order).

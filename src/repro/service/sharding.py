@@ -187,9 +187,11 @@ class ShardedPlanCache:
         """Hit or compute-once-per-key, shard-locally coalesced."""
         return self._shard(key).get_or_compute(key, factory)
 
-    def peek_stale(self, key: str) -> tuple[Literal["fresh", "stale"], Any] | None:
+    def peek_stale(
+        self, key: str, usable: Callable[[Any], bool]
+    ) -> tuple[Literal["fresh", "stale"], Any] | None:
         """Degraded-path probe on the owner shard (see PlanCache)."""
-        return self._shard(key).peek_stale(key)
+        return self._shard(key).peek_stale(key, usable)
 
     def __contains__(self, key: str) -> bool:
         return key in self._shard(key)

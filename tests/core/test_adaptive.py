@@ -33,14 +33,10 @@ class TestChoice:
     def test_tiny_clique_goes_to_dpsub(self):
         assert isinstance(AdaptiveOptimizer().choose(clique_graph(3)), DPsub)
 
-    def test_conv_threshold_override_restores_dpsub(self):
-        adaptive = AdaptiveOptimizer(conv_min_relations=9)
-        assert isinstance(adaptive.choose(clique_graph(8)), DPsub)
-        assert isinstance(adaptive.choose(clique_graph(9)), DPconv)
-
-    def test_conv_disabled_above_size_limit(self):
-        adaptive = AdaptiveOptimizer(dense_size_limit=16, conv_min_relations=17)
-        assert isinstance(adaptive.choose(clique_graph(16)), DPsub)
+    def test_conv_threshold_at_four_relations(self):
+        adaptive = AdaptiveOptimizer()
+        assert isinstance(adaptive.choose(clique_graph(3)), DPsub)
+        assert isinstance(adaptive.choose(clique_graph(4)), DPconv)
 
     @pytest.mark.parametrize(
         "graph",
@@ -53,20 +49,9 @@ class TestChoice:
     def test_large_clique_escalates_to_lindp(self):
         # The pre-ladder dispatcher sent over-limit cliques back to
         # DPccp — the exact stall the escalation ladder fixes.
-        adaptive = AdaptiveOptimizer(dense_size_limit=10)
-        assert isinstance(adaptive.choose(clique_graph(12)), LinDP)
-
-    def test_threshold_override_forces_dpccp(self):
-        adaptive = AdaptiveOptimizer(dense_threshold=1.1)
-        assert isinstance(adaptive.choose(clique_graph(6)), DPccp)
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveOptimizer(dense_threshold=0.0)
-
-    def test_bad_conv_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveOptimizer(conv_min_relations=1)
+        adaptive = AdaptiveOptimizer()
+        assert isinstance(adaptive.choose(clique_graph(16)), DPconv)
+        assert isinstance(adaptive.choose(clique_graph(17)), LinDP)
 
 
 class TestLadderRouting:
@@ -122,33 +107,13 @@ class TestLadderRouting:
         assert adaptive.route(star_graph(15)).rung == "lindp"
 
     def test_dense_over_limit_escalates(self):
-        decision = AdaptiveOptimizer(dense_size_limit=10).route(
-            clique_graph(12)
-        )
+        decision = AdaptiveOptimizer().route(clique_graph(17))
+        assert decision.graph_class == "dense"
         assert decision.rung == "lindp"
 
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             AdaptiveOptimizer().route(QueryGraph(3, [(0, 1)]))
-
-    def test_exact_limits_override(self):
-        adaptive = AdaptiveOptimizer(exact_size_limits={"chain": 5})
-        assert adaptive.route(chain_graph(5)).rung == "exact"
-        assert adaptive.route(chain_graph(6)).rung == "lindp"
-        # Unnamed classes keep their defaults.
-        assert adaptive.route(star_graph(14)).rung == "exact"
-
-    def test_unknown_exact_limit_class_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveOptimizer(exact_size_limits={"pentagram": 5})
-
-    def test_bad_exact_limit_value_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveOptimizer(exact_size_limits={"chain": 0})
-
-    def test_idp_below_lindp_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveOptimizer(lindp_size_limit=200, idp_size_limit=100)
 
     def test_large_query_end_to_end(self):
         graph = chain_graph(30, selectivity=0.05)

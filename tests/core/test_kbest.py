@@ -16,9 +16,9 @@ import pytest
 
 from repro.catalog.synthetic import random_catalog
 from repro.core import make_algorithm
+from repro.core.dpccp import DPccp
 from repro.core.kbest import (
     MAX_K,
-    POSTHOC_MAX_RELATIONS,
     KBestPlanTable,
     KBestTracker,
     k_best_plans,
@@ -259,8 +259,21 @@ def test_kbest_table_preserves_base_semantics_and_captures() -> None:
         KBestPlanTable(root_mask=0, tracker=tracker)
 
 
+def count_dpccp_runs(monkeypatch) -> list[int]:
+    """Count ``DPccp.optimize`` calls while the test runs."""
+    calls = [0]
+    optimize = DPccp.optimize
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return optimize(self, *args, **kwargs)
+
+    monkeypatch.setattr(DPccp, "optimize", counted)
+    return calls
+
+
 class TestPostHocGuard:
-    """Post-hoc capture must not re-enumerate ladder-scale queries."""
+    """Post-hoc capture runs DPccp only where the router would."""
 
     def test_small_query_gets_posthoc_ranks(self):
         rng = random.Random(5)
@@ -271,10 +284,11 @@ class TestPostHocGuard:
         assert outcome.k_available == 2
 
     def test_large_query_serves_rank_one_only(self):
-        # One relation past POSTHOC_MAX_RELATIONS: a DPccp capture pass
-        # here is exactly the exponential enumeration the ladder routes
-        # large queries around, so ranks 2..k are declined, not stalled.
-        n = POSTHOC_MAX_RELATIONS + 1
+        # One relation past the router's chain ceiling (22): a DPccp
+        # capture pass here is exactly the enumeration the ladder
+        # routes large queries around, so ranks 2..k are declined, not
+        # stalled.
+        n = 23
         rng = random.Random(5)
         graph = graph_for_topology("chain", n, rng=rng)
         catalog = random_catalog(n, rng)
@@ -292,3 +306,32 @@ class TestPostHocGuard:
         outcome = k_best_plans(graph, k=2, algorithm="dpccp", catalog=catalog)
         assert outcome.capture == "inline"
         assert outcome.k_available == 2
+
+    @pytest.mark.parametrize("topology,n", [("clique", 12), ("star", 16)])
+    def test_router_gate_skips_capture(self, monkeypatch, topology, n):
+        # The router plans a clique-12 with DPconv and a star-16 with
+        # LinDP; neither gets a DPccp capture pass.
+        rng = random.Random(5)
+        graph = graph_for_topology(topology, n, rng=rng)
+        catalog = random_catalog(n, rng)
+        runs = count_dpccp_runs(monkeypatch)
+        outcome = k_best_plans(
+            graph, k=2, algorithm="adaptive", catalog=catalog
+        )
+        assert runs[0] == 0
+        assert outcome.capture == "single"
+        assert outcome.plans == (outcome.result.plan,)
+
+    def test_chain_within_router_ceiling_gets_posthoc_ranks(
+        self, monkeypatch
+    ):
+        # The router plans a chain-20 with DPccp, so GOO's rank 1 gets
+        # ranks 2..k from one capture pass.
+        rng = random.Random(5)
+        graph = graph_for_topology("chain", 20, rng=rng)
+        catalog = random_catalog(20, rng)
+        runs = count_dpccp_runs(monkeypatch)
+        outcome = k_best_plans(graph, k=3, algorithm="goo", catalog=catalog)
+        assert runs[0] == 1
+        assert outcome.capture == "post-hoc"
+        assert outcome.k_available == 3

@@ -160,16 +160,14 @@ def assert_same_result(result, reference) -> None:
     assert result.table_probes == reference.table_probes
 
 
-def reference_lindp(monkeypatch, lindp_kwargs, graph, model):
+def reference_lindp(monkeypatch, graph, model):
     """Reference LinDP end to end: its GOO seed and IKKBZ orders too."""
     with monkeypatch.context() as patch:
         patch.setattr(lindp_module, "GreedyOperatorOrdering", ref.ReferenceGOO)
         patch.setattr(
             lindp_module, "ikkbz_order_for_root", ref.ikkbz_order_for_root
         )
-        return ref.ReferenceLinDP(**lindp_kwargs).optimize(
-            graph, cost_model=model
-        )
+        return ref.ReferenceLinDP().optimize(graph, cost_model=model)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -218,43 +216,28 @@ def test_ikkbz_matches_reference(case, model):
 
 
 @pytest.mark.parametrize(
-    "model,lindp_kwargs,case",
+    "model,case",
     [
+        # Past 25 relations, trees (the light 40s and the ladder-scale
+        # chains, stars and trees) rank their IKKBZ roots by the
+        # left-deep proxy and sweep only the best four orders.
         *(
-            pytest.param("cout", {}, case, id=f"cout-{case[0]}")
+            pytest.param("cout", case, id=f"cout-{case[0]}")
             for case in selected(LIGHT, TIED, LADDER, OVERFLOWED)
         ),
         # The asymmetric model takes the unchanged priced path; only
         # the GOO and IKKBZ orders it sweeps are new there.
         *(
-            pytest.param("disk", {}, case, id=f"disk-{case[0]}")
+            pytest.param("disk", case, id=f"disk-{case[0]}")
             for case in selected(LIGHT, TIED, keep=lambda shape, n: n <= 24)
-        ),
-        # Past all_roots_limit, trees rank their roots by the left-deep
-        # proxy and sweep only the best max_dp_roots orders. The proxy
-        # path is the same at n = 160, so that size is left out here.
-        *(
-            pytest.param(
-                "cout", {"all_roots_limit": 3}, case, id=f"proxy-{case[0]}"
-            )
-            for case in selected(
-                LIGHT,
-                TIED,
-                LADDER,
-                keep=lambda shape, n: is_tree_shape(shape, n) and 3 < n < 160,
-            )
         ),
     ],
 )
-def test_lindp_matches_reference(monkeypatch, model, lindp_kwargs, case):
+def test_lindp_matches_reference(monkeypatch, model, case):
     graph, catalog = instance(case)
     build = MODELS[model]
-    result = LinDP(**lindp_kwargs).optimize(
-        graph, cost_model=build(graph, catalog)
-    )
-    reference = reference_lindp(
-        monkeypatch, lindp_kwargs, graph, build(graph, catalog)
-    )
+    result = LinDP().optimize(graph, cost_model=build(graph, catalog))
+    reference = reference_lindp(monkeypatch, graph, build(graph, catalog))
     assert_same_result(result, reference)
 
 

@@ -13,12 +13,13 @@ from repro.core.greedy import GreedyOperatorOrdering
 from repro.core.lindp import LinDP, leaf_order
 from repro.cost.cout import CoutModel
 from repro.cost.disk import DiskCostModel
-from repro.errors import DisconnectedGraphError, OptimizerError
+from repro.errors import DisconnectedGraphError
 from repro.graph.generators import (
     chain_graph,
     clique_graph,
     graph_for_topology,
     random_connected_graph,
+    random_tree_graph,
 )
 from repro.graph.querygraph import QueryGraph
 from repro.plans.visitors import validate_plan
@@ -33,14 +34,6 @@ def upper(cost: float) -> float:
 
 
 class TestValidation:
-    def test_bad_all_roots_limit_rejected(self):
-        with pytest.raises(OptimizerError):
-            LinDP(all_roots_limit=0)
-
-    def test_bad_max_dp_roots_rejected(self):
-        with pytest.raises(OptimizerError):
-            LinDP(max_dp_roots=0)
-
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             LinDP().optimize(QueryGraph(3, [(0, 1)]))
@@ -119,20 +112,32 @@ class TestDifferential:
         validate_plan(lindp.plan, graph)
         assert lindp.cost <= upper(goo.cost)
 
-    def test_forced_proxy_ranking_path(self):
-        """all_roots_limit below n exercises the ranked-roots branch."""
-        rng = random.Random(5)
-        graph = graph_for_topology("star", 12, rng=rng)
-        catalog = random_catalog(12, rng)
-        full = LinDP().optimize(graph, catalog=catalog)
-        pruned = LinDP(all_roots_limit=4, max_dp_roots=2).optimize(
-            graph, catalog=catalog
-        )
-        goo = GreedyOperatorOrdering().optimize(graph, catalog=catalog)
-        # Fewer orderings can cost more, never more than GOO.
-        assert pruned.cost >= full.cost / (1 + REL_TOL)
-        assert pruned.cost <= upper(goo.cost)
-        assert pruned.counters.extra["lindp_orderings"] == 3  # GOO + 2
+    def test_forced_proxy_ranking_path(self, monkeypatch):
+        """Past 25 relations a tree ranks its IKKBZ roots by the
+        left-deep proxy and sweeps only the best 4; at 25 it sweeps
+        every root and never calls the proxy."""
+        calls = [0]
+        proxy_cost = LinDP._proxy_cost
+
+        def counted(*args):
+            calls[0] += 1
+            return proxy_cost(*args)
+
+        monkeypatch.setattr(LinDP, "_proxy_cost", staticmethod(counted))
+        orderings = {}
+        for n in (25, 26):
+            rng = random.Random(5)
+            graph = random_tree_graph(n, rng)
+            catalog = random_catalog(n, rng)
+            calls[0] = 0
+            result = LinDP().optimize(graph, catalog=catalog)
+            goo = GreedyOperatorOrdering().optimize(graph, catalog=catalog)
+            validate_plan(result.plan, graph)
+            assert result.cost <= upper(goo.cost)
+            orderings[n] = (calls[0], result.counters.extra["lindp_orderings"])
+        assert orderings[25] == (0, 26)  # GOO + every root
+        assert orderings[26][0] >= 1
+        assert orderings[26][1] == 5  # GOO + the best 4 roots
 
 
 class TestPricedPath:

@@ -55,17 +55,6 @@ class TestOptimality:
         bottom_up = DPccp().optimize(graph, catalog=catalog)
         assert top_down.cost == pytest.approx(bottom_up.cost)
 
-    def test_without_greedy_seed(self):
-        rng = random.Random(8)
-        graph = random_connected_graph(6, rng, 0.4)
-        catalog = random_catalog(6, rng)
-        unseeded = TopDownBB(use_greedy_seed=False).optimize(
-            graph, catalog=catalog
-        )
-        assert unseeded.cost == pytest.approx(
-            DPccp().optimize(graph, catalog=catalog).cost
-        )
-
 
 class TestPruning:
     def test_bound_prunes_partitions(self):

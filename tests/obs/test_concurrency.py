@@ -116,7 +116,7 @@ class TestServiceSpansMatchMetrics:
         with PlanService(
             algorithm="dpccp", workers=4, instrumentation=obs
         ) as service:
-            responses = service.plan_batch(requests, concurrency=8)
+            responses = service.plan_batch(requests)
             snapshot = service.snapshot()
 
         assert len(responses) == len(requests)

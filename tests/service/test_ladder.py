@@ -90,15 +90,31 @@ class TestRankTwoSource:
             probed = []
             peek_stale = service._cache.peek_stale
 
-            def counted(key):
+            def counted(key, usable):
                 probed.append(key)
-                return peek_stale(key)
+                return peek_stale(key, usable)
 
             service._cache.peek_stale = counted
             response = service.plan(graph, catalog, deadline_seconds=TINY)
         assert response.ladder_rung == rung
         assert len(probed) == peeks
         assert service.cache_stats().stale_served == stale_served
+
+    def test_single_plan_stale_entry_is_not_counted(self):
+        # The router plans a star-17 with LinDP, which has no in-run
+        # capture, so even a k_best=2 entry holds one plan: the rank-2
+        # probe finds it in the stale tier but cannot serve it.
+        rng = random.Random(11)
+        graph, catalog = star_graph(17, rng=rng), random_catalog(17, rng)
+        with PlanService(cache_capacity=1, workers=1, k_best=2) as service:
+            service.plan(graph, catalog)
+            service.plan(chain_graph(6, rng=rng), random_catalog(6, rng))
+            assert service.cache_stats().stale_size == 1
+            response = service.plan(graph, catalog, deadline_seconds=0.0)
+        assert response.degraded
+        assert response.ladder_rung == "goo"
+        validate_plan(response.plan, graph)
+        assert service.cache_stats().stale_served == 0
 
 
 class TestLadderSnapshot:

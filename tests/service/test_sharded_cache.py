@@ -149,6 +149,9 @@ def test_get_or_compute_coalesces_within_a_shard() -> None:
 
 
 def test_ttl_and_stale_tier_per_shard() -> None:
+    def usable(value: object) -> bool:
+        return True
+
     clock = FakeClock()
     cache = ShardedPlanCache(
         shards=4, capacity=64, ttl_seconds=10.0, clock=clock
@@ -158,15 +161,19 @@ def test_ttl_and_stale_tier_per_shard() -> None:
     clock.advance(11.0)
     # Expired entries are misses for normal lookups...
     assert cache.get(KEYS[0]) is None
+    # ...a value the caller cannot use is not counted as served...
+    assert cache.peek_stale(KEYS[1], lambda value: False) is None
+    assert cache.stats().stale_served == 0
     # ...but the degraded path can still peek them, shard-locally.
     for key in KEYS[:20]:
-        assert cache.peek_stale(key) == ("stale", ("plan", key))
+        assert cache.peek_stale(key, usable) == ("stale", ("plan", key))
     stats = cache.stats()
     assert stats.stale_served == 20
     assert stats.stale_size == 20
     # A fresh put supersedes the parked copy.
     cache.put(KEYS[0], ("fresh", KEYS[0]))
-    assert cache.peek_stale(KEYS[0]) == ("fresh", ("fresh", KEYS[0]))
+    assert cache.peek_stale(KEYS[0], usable) == ("fresh", ("fresh", KEYS[0]))
+    assert cache.peek_stale(KEYS[0], lambda value: False) is None
 
 
 def test_capacity_is_divided_but_aggregate_bound_holds() -> None:

@@ -206,13 +206,17 @@ class TestServiceCommands:
 
     def test_fallback_choices(self):
         # Degradation has one policy, the escalation ladder, so
-        # neither serving command takes --fallback.
+        # neither serving command takes --fallback; batch submission
+        # always derives its width from --workers.
         for command in ("serve-batch", "serve"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--fallback", "goo"])
+        with pytest.raises(SystemExit) as rejected:
+            build_parser().parse_args(["serve-batch", "--concurrency", "4"])
+        assert rejected.value.code == 2
         args = build_parser().parse_args(["serve-batch"])
         assert args.jobs is None
-        assert args.concurrency is None
+        assert not hasattr(args, "concurrency")
 
     def test_serve_batch_with_process_pool(self, capsys):
         assert main(
