@@ -1,18 +1,19 @@
 """DPccp — the paper's new algorithm (Figure 4).
 
 DPccp iterates *exactly* the csg-cmp-pairs of the query graph: for
-every connected set ``S1`` from
-:func:`~repro.graph.subgraphs.enumerate_csg`, every complement ``S2``
-from :func:`~repro.graph.subgraphs.enumerate_cmp`, in an order valid
-for dynamic programming. So its ``InnerCounter`` equals the Ono-Lohman
-lower bound: every innermost-loop execution performs useful work. Per
-pair it offers both join orders to the table's set-level step
-(:meth:`~repro.core.base.PlanTable.join_step`) when the cost model is
-asymmetric, one when it is symmetric (the enumeration emits each
-unordered pair in a single orientation, so commutativity must be
-handled here — paper §3.1: "the algorithm explicitly exploits join
-commutativity"). Under C_out that step compares costs of relation sets
-and builds no tree; only the returned plan's ``n - 1`` joins are built.
+every connected set ``S1`` (the paper's ``EnumerateCsg``), every
+complement ``S2`` (``EnumerateCmp``), as
+:func:`~repro.graph.subgraphs.enumerate_csg_cmp_lists` groups them, in
+an order valid for dynamic programming. So its ``InnerCounter`` equals
+the Ono-Lohman lower bound: every innermost-loop execution performs
+useful work. Per pair it offers both join orders to the table's
+set-level step (:meth:`~repro.core.base.PlanTable.join_step`) when the
+cost model is asymmetric, one when it is symmetric (the enumeration
+emits each unordered pair in a single orientation, so commutativity
+must be handled here — paper §3.1: "the algorithm explicitly exploits
+join commutativity"). Under C_out that step compares costs of relation
+sets and builds no tree; only the returned plan's ``n - 1`` joins are
+built.
 
 The enumeration requires the graph to be numbered breadth-first from
 node 0 (paper §3.4.1). This class establishes that precondition
@@ -30,13 +31,11 @@ of the block it stands for.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro import bitset
 from repro.core.base import CounterSet, JoinOrderer, PlanTable
 from repro.cost.base import CostModel
 from repro.graph.querygraph import QueryGraph
-from repro.graph.subgraphs import enumerate_cmp, enumerate_csg
+from repro.graph.subgraphs import enumerate_csg_cmp_lists
 
 __all__ = ["DPccp"]
 
@@ -85,20 +84,12 @@ def _pair_pass(
     original: dict[int, int] | None = None
     if any(mask != 1 << node for node, mask in enumerate(bit_map)):
         original = {}
-    csg_cap = None if max_union_size is None else max_union_size - 1
     step = table.join_step(cost_model)
     both_orders = not cost_model.symmetric
     pairs = 0
-    for left in enumerate_csg(graph, trust_numbering=True, max_size=csg_cap):
-        rights: Iterable[int] = enumerate_cmp(
-            graph,
-            left,
-            trust_numbering=True,
-            max_size=(
-                None if max_union_size is None
-                else max_union_size - left.bit_count()
-            ),
-        )
+    for left, rights in enumerate_csg_cmp_lists(
+        graph, trust_numbering=True, max_union_size=max_union_size
+    ):
         if original is not None:
             # Each csg is translated once, when the csg stream emits
             # it. Every S2 has a larger minimum than S1 and fits the

@@ -5,7 +5,10 @@ for *acyclic* query graphs and cost functions with the ASI (adjacent
 sequence interchange) property — which C_out has — the optimal
 left-deep join order can be found in polynomial time by sorting
 precedence-tree chains by *rank* and merging rank-violating adjacent
-nodes into compound modules.
+nodes into compound modules. Every relation is tried as the root;
+:func:`ikkbz_orders` builds all n orderings in one pass, because the
+normalized chain of a subtree depends only on the edge it is entered
+by, not on the root.
 
 This is not part of the paper, but it is the classical polynomial
 baseline the DP literature measures against, and it bounds what a
@@ -31,7 +34,7 @@ from repro.graph.properties import is_tree
 from repro.graph.querygraph import QueryGraph
 from repro.plans.jointree import JoinTree
 
-__all__ = ["IKKBZ", "ikkbz_order_for_root"]
+__all__ = ["IKKBZ", "ikkbz_orders"]
 
 
 @dataclass(slots=True)
@@ -110,52 +113,79 @@ def _merge_by_rank(chains: list[list[_Module]]) -> list[_Module]:
     return merged
 
 
-def ikkbz_order_for_root(
+def ikkbz_orders(
     graph: QueryGraph,
     estimator: CardinalityEstimator,
-    root: int,
     counters: CounterSet | None = None,
-) -> list[int]:
-    """Rank-optimal relation sequence starting at ``root`` (ASI ranks).
+) -> list[list[int]]:
+    """Rank-optimal relation sequence for every root, indexed by root.
 
-    The reusable half of IKKBZ: orient the (tree-shaped) query graph at
-    ``root``, normalize each precedence chain until ranks ascend, and
-    merge the chains by rank. :class:`IKKBZ` turns the sequence into a
-    left-deep plan; :class:`~repro.core.lindp.LinDP` reuses it as a
-    *linearization* for its contiguous-interval DP. The caller is
-    responsible for the tree-shape precondition.
+    The reusable half of IKKBZ. Rooted at ``r``, the (tree-shaped)
+    query graph is a precedence tree: each subtree is normalized into a
+    chain whose ranks ascend, and the children's chains are merged by
+    rank. :class:`IKKBZ` turns each sequence into a left-deep plan;
+    :class:`~repro.core.lindp.LinDP` reuses them as *linearizations*
+    for its contiguous-interval DP. The caller is responsible for the
+    tree-shape precondition.
+
+    The normalized chain of the subtree entered over the edge
+    ``p -> c`` does not depend on the root, so each of the ``2(n - 1)``
+    directed edges is normalized once and shared by every root that
+    enters ``c`` from ``p``: O(n^2 log n) for all roots, not one
+    O(n^2) pass per root. Children are taken in ascending index order,
+    as a breadth-first search from any root discovers them, and each
+    root still adds its ``n - 1`` child steps to ``inner_counter``.
     """
     if counters is None:
         counters = CounterSet()
-    children: list[list[int]] = [[] for _ in range(graph.n_relations)]
-    parent_edge_selectivity = [1.0] * graph.n_relations
-    order = graph.bfs_order(root)
-    placed = {root}
-    for node in order[1:]:
-        for edge in graph.edges_of(node):
-            other = edge.right if edge.left == node else edge.left
-            if other in placed:
-                children[other].append(node)
-                parent_edge_selectivity[node] = edge.selectivity
-                break
-        placed.add(node)
-
-    def chain_below(node: int) -> list[_Module]:
-        """Normalized rank-ascending chain for the subtree below ``node``."""
-        child_chains = []
-        for child in children[node]:
-            counters.inner_counter += 1
-            t = parent_edge_selectivity[child] * estimator.base_cardinality(
-                child
-            )
-            head = _Module([child], t=t, c=t)
-            child_chains.append(_normalize([head] + chain_below(child)))
-        return _merge_by_rank(child_chains)
-
-    sequence = [root]
-    for module in chain_below(root):
-        sequence.extend(module.indices)
-    return sequence
+    n = graph.n_relations
+    base = [estimator.base_cardinality(index) for index in range(n)]
+    # adjacent[v]: (neighbor, selectivity) pairs; graph.edges is sorted
+    # by endpoints, so each list ascends by neighbor.
+    adjacent: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for edge in graph.edges:
+        adjacent[edge.left].append((edge.right, edge.selectivity))
+        adjacent[edge.right].append((edge.left, edge.selectivity))
+    # Breadth-first from node 0 with parent links, without recursion.
+    order = [0]
+    parent = [-1] * n
+    parent_selectivity = [1.0] * n
+    seen = 1
+    for node in order:
+        for other, selectivity in adjacent[node]:
+            if not seen >> other & 1:
+                seen |= 1 << other
+                parent[other] = node
+                parent_selectivity[other] = selectivity
+                order.append(other)
+    # chains[p, c]: normalized chain of c's subtree entered from p. A
+    # chain needs the chains of every edge leaving c except (c, p):
+    # edges away from node 0 are built leaves first, then edges towards
+    # it root first.
+    directed = [
+        (parent[node], node, parent_selectivity[node])
+        for node in reversed(order[1:])
+    ]
+    directed += [
+        (node, parent[node], parent_selectivity[node]) for node in order[1:]
+    ]
+    chains: dict[tuple[int, int], list[_Module]] = {}
+    for above, node, selectivity in directed:
+        t = selectivity * base[node]
+        below = _merge_by_rank(
+            [chains[node, child] for child, _ in adjacent[node] if child != above]
+        )
+        chains[above, node] = _normalize([_Module([node], t=t, c=t)] + below)
+    orders = []
+    for root in range(n):
+        counters.inner_counter += n - 1
+        sequence = [root]
+        for module in _merge_by_rank(
+            [chains[root, child] for child, _ in adjacent[root]]
+        ):
+            sequence.extend(module.indices)
+        orders.append(sequence)
+    return orders
 
 
 class IKKBZ(JoinOrderer):
@@ -175,10 +205,8 @@ class IKKBZ(JoinOrderer):
                 "IKKBZ requires an acyclic (tree) query graph; got a "
                 "graph with cycles — use one of the DP algorithms"
             )
-        estimator = cost_model.estimator
         best_plan: JoinTree | None = None
-        for root in range(graph.n_relations):
-            order = self._order_for_root(graph, estimator, root, counters)
+        for order in ikkbz_orders(graph, cost_model.estimator, counters):
             plan = table[1 << order[0]]
             for index in order[1:]:
                 counters.create_join_tree_calls += 1
@@ -187,13 +215,3 @@ class IKKBZ(JoinOrderer):
                 best_plan = plan
         assert best_plan is not None
         table.register(best_plan)
-
-    def _order_for_root(
-        self,
-        graph: QueryGraph,
-        estimator: CardinalityEstimator,
-        root: int,
-        counters: CounterSet,
-    ) -> list[int]:
-        """Optimal relation sequence starting at ``root`` (ASI ranks)."""
-        return ikkbz_order_for_root(graph, estimator, root, counters)

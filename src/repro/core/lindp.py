@@ -8,8 +8,8 @@ module implements:
 
 1. **Linearize.** IKKBZ's ASI rank ordering — optimal for *left-deep*
    plans on acyclic graphs — fixes a left-to-right sequence of the
-   relations in polynomial time (:func:`repro.core.ikkbz
-   .ikkbz_order_for_root`, one candidate sequence per root). On cyclic
+   relations in polynomial time (:func:`repro.core.ikkbz.ikkbz_orders`,
+   one candidate sequence per root, all from one pass). On cyclic
    graphs, where IKKBZ's precedence-tree precondition fails, the
    in-order leaf sequence of the GOO tree and BFS orders stand in.
 2. **Interval DP.** For one fixed sequence, every bushy tree whose
@@ -43,9 +43,8 @@ from math import isinf
 
 from repro.core.base import CounterSet, JoinOrderer, PlanTable
 from repro.core.greedy import GreedyOperatorOrdering
-from repro.core.ikkbz import ikkbz_order_for_root
+from repro.core.ikkbz import ikkbz_orders
 from repro.cost.base import CostModel
-from repro.cost.cardinality import CardinalityEstimator
 from repro.graph.properties import is_tree
 from repro.graph.querygraph import QueryGraph
 from repro.plans.jointree import JoinTree
@@ -97,6 +96,7 @@ class LinDP(JoinOrderer):
     ) -> None:
         goo = GreedyOperatorOrdering().optimize(graph, cost_model=cost_model).plan
         orderings = self._linearizations(graph, cost_model, goo, counters)
+        leaves = [cost_model.leaf(index) for index in range(graph.n_relations)]
         counters.extra["lindp_orderings"] = len(orderings)
         separable = (
             cost_model.symmetric
@@ -106,11 +106,11 @@ class LinDP(JoinOrderer):
         for order in orderings:
             if separable:
                 plan = self._interval_dp_separable(
-                    graph, cost_model, order, counters
+                    graph, cost_model, order, leaves, counters
                 )
             else:
                 plan = self._interval_dp_priced(
-                    graph, cost_model, order, counters
+                    graph, cost_model, order, leaves, counters
                 )
             if plan is not None and (best is None or plan.cost < best.cost):
                 best = plan
@@ -135,28 +135,17 @@ class LinDP(JoinOrderer):
         estimator = cost_model.estimator
         n = graph.n_relations
         if is_tree(graph):
+            roots = ikkbz_orders(graph, estimator, counters)
             if n <= ALL_ROOTS_LIMIT:
-                orderings.extend(
-                    ikkbz_order_for_root(graph, estimator, root, counters)
-                    for root in range(n)
-                )
+                orderings.extend(roots)
             else:
+                cardinalities = [
+                    estimator.base_cardinality(index) for index in range(n)
+                ]
                 scored = sorted(
                     (
-                        (
-                            self._proxy_cost(graph, estimator, order),
-                            root,
-                            order,
-                        )
-                        for root, order in (
-                            (
-                                root,
-                                ikkbz_order_for_root(
-                                    graph, estimator, root, counters
-                                ),
-                            )
-                            for root in range(n)
-                        )
+                        (self._proxy_cost(graph, cardinalities, order), root, order)
+                        for root, order in enumerate(roots)
                     ),
                     key=lambda entry: entry[:2],
                 )
@@ -176,18 +165,25 @@ class LinDP(JoinOrderer):
 
     @staticmethod
     def _proxy_cost(
-        graph: QueryGraph,
-        estimator: CardinalityEstimator,
-        order: list[int],
+        graph: QueryGraph, cardinalities: list[float], order: list[int]
     ) -> float:
-        """Left-deep C_out of ``order`` — a cheap key for ranking roots."""
+        """Left-deep C_out of ``order`` — a cheap key for ranking roots.
+
+        ``cardinalities[i]`` is relation i's base cardinality. Each step
+        multiplies the selectivities of the edges into the prefix inline,
+        the same factors in the same order as
+        :meth:`QueryGraph.crossing_selectivity`.
+        """
+        incidence = graph.incidence
         mask = 1 << order[0]
-        card = estimator.base_cardinality(order[0])
+        card = cardinalities[order[0]]
         cost = 0.0
         for index in order[1:]:
-            card *= estimator.base_cardinality(
-                index
-            ) * graph.crossing_selectivity(1 << index, mask)
+            selectivity = 1.0
+            for other_bit, edge_selectivity in incidence[index]:
+                if other_bit & mask:
+                    selectivity *= edge_selectivity
+            card *= cardinalities[index] * selectivity
             cost += card
             mask |= 1 << index
         return cost
@@ -209,11 +205,15 @@ class LinDP(JoinOrderer):
         its neighborhood outside the interval (so a split ``[i..k] |
         [k+1..j]`` is connected iff ``nbs[i][k] & masks[k+1][j]``);
         ``cards[i][j]`` the estimator's product-form cardinality of the
-        interval, built incrementally (only when ``with_cards``). All
-        three are filled in O(n^2) amortized graph work.
+        interval, built incrementally (only when ``with_cards``) with the
+        selectivities of the edges into the prefix multiplied inline, the
+        same factors in the same order as
+        :meth:`QueryGraph.crossing_selectivity`. All three are filled in
+        O(n^2) amortized graph work.
         """
         n = len(order)
         neighbor_masks = graph.neighbor_masks
+        incidence = graph.incidence
         masks = [[0] * n for _ in range(n)]
         nbs = [[0] * n for _ in range(n)]
         cards = [[0.0] * n for _ in range(n)]
@@ -232,10 +232,12 @@ class LinDP(JoinOrderer):
                 row_mask[j] = prefix | bit
                 row_nb[j] = (row_nb[j - 1] | neighbor_masks[rel]) & ~row_mask[j]
                 if with_cards:
+                    selectivity = 1.0
+                    for other_bit, edge_selectivity in incidence[rel]:
+                        if other_bit & prefix:
+                            selectivity *= edge_selectivity
                     row_card[j] = (
-                        row_card[j - 1]
-                        * leaves[rel].cardinality
-                        * graph.crossing_selectivity(bit, prefix)
+                        row_card[j - 1] * leaves[rel].cardinality * selectivity
                     )
         return masks, nbs, cards
 
@@ -244,6 +246,7 @@ class LinDP(JoinOrderer):
         graph: QueryGraph,
         cost_model: CostModel,
         order: list[int],
+        leaves: list[JoinTree],
         counters: CounterSet,
     ) -> JoinTree | None:
         """Value-only sweep for separable symmetric models.
@@ -257,7 +260,6 @@ class LinDP(JoinOrderer):
         the model afterwards (same trick as DPconv's value sweep).
         """
         n = len(order)
-        leaves = [cost_model.leaf(index) for index in range(graph.n_relations)]
         masks, nbs, cards = self._prefix_tables(graph, order, leaves, True)
         inf = float("inf")
         # lefts[i] lists (k, costs[i][k]) for every k whose interval
@@ -346,6 +348,7 @@ class LinDP(JoinOrderer):
         graph: QueryGraph,
         cost_model: CostModel,
         order: list[int],
+        leaves: list[JoinTree],
         counters: CounterSet,
     ) -> JoinTree | None:
         """Generic path: price every feasible split through the model.
@@ -357,7 +360,6 @@ class LinDP(JoinOrderer):
         handling).
         """
         n = len(order)
-        leaves = [cost_model.leaf(index) for index in range(graph.n_relations)]
         masks, nbs, _ = self._prefix_tables(graph, order, leaves, False)
         trees: list[list[JoinTree | None]] = [[None] * n for _ in range(n)]
         for i in range(n):

@@ -219,6 +219,16 @@ class QueryGraph:
         """
         return self._neighbors
 
+    @property
+    def incidence(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per-relation ``(neighbor bit, selectivity)`` pairs, in edge order.
+
+        Exposed for hot loops (LinDP's interval tables) that multiply
+        crossing selectivities inline; :meth:`crossing_selectivity`
+        multiplies the same factors in the same order.
+        """
+        return self._incidence
+
     def degree(self, index: int) -> int:
         """Number of join edges incident to relation ``index``."""
         return bitset.popcount(self.neighbor_mask(index))

@@ -23,16 +23,16 @@ The recursion of ``EnumerateCsgRec`` runs on an explicit stack, and
 each recursion level builds its emissions as one list, so an emitted
 set passes through one generator frame however deep it was found. Each
 set carries its reach (itself plus its neighbors), so ``N(S)`` is one
-AND. The pair stream builds the complements of one csg as one list
-when it reaches that csg; :func:`enumerate_csg` stays lazy per csg.
-Emission order is the paper's, set for set.
+AND, for growing a csg and for finding its complements alike.
+:func:`enumerate_csg_cmp_lists` builds the complements of one csg as
+one list when it reaches that csg; :func:`enumerate_csg` stays lazy per
+csg. Emission order is the paper's, set for set.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro import bitset
 from repro.errors import GraphError
 from repro.graph.querygraph import QueryGraph
 
@@ -40,6 +40,7 @@ __all__ = [
     "enumerate_csg",
     "enumerate_csg_rec",
     "enumerate_cmp",
+    "enumerate_csg_cmp_lists",
     "enumerate_csg_cmp_pairs",
 ]
 
@@ -55,20 +56,23 @@ def _check_numbering(graph: QueryGraph, trust_numbering: bool) -> None:
 def _levels(
     graph: QueryGraph,
     subset: int,
+    reach: int,
     excluded: int,
     max_size: int | None,
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[list[int], list[int]]]:
     """``EnumerateCsgRec(G, S, X)``'s emissions, one list per recursion level.
 
     One generator frame for the whole recursion: ``pending`` holds the
     expansions still to make, the next on top, so sets leave in the
     recursive order (a level's emissions, then each of them expanded
     depth first) without being re-yielded through one frame per level.
-    Each set travels with its reach (the set and all its neighbors), so
-    ``N(S)`` costs one AND instead of a walk over the set's relations.
+    Each set travels with its reach (the set and all its neighbors,
+    ``reach`` for ``subset``), so ``N(S)`` costs one AND instead of a
+    walk over the set's relations; each level comes with its sets'
+    reaches, in the same order.
     """
     neighbors = graph.neighbor_masks
-    pending = [(subset, graph.neighborhood(subset) | subset, excluded)]
+    pending = [(subset, reach, excluded)]
     while pending:
         grown, reach, excluded = pending.pop()
         headroom = 0
@@ -83,14 +87,15 @@ def _levels(
         if neighborhood & (neighborhood - 1) == 0:
             # One new neighbor (every level of a chain or cycle).
             grown |= neighborhood
-            yield [grown]
             reach |= neighbors[neighborhood.bit_length() - 1]
+            yield [grown], [reach]
             pending.append((grown, reach, excluded))
             continue
         # S ∪ S' for every non-empty S' ⊆ N, ascending. The reach of
         # S ∪ S' extends that of S ∪ (S' minus its lowest node), which
         # ascending order reaches first.
         level = []
+        reaches = []
         expansions = []
         reach_of = {0: reach}
         grow = neighborhood & -neighborhood
@@ -100,11 +105,12 @@ def _levels(
             reach_of[grow] = grown_reach
             if max_size is None or grow.bit_count() <= headroom:
                 level.append(grown | grow)
+                reaches.append(grown_reach)
                 expansions.append((grown | grow, grown_reach, excluded))
             if grow == neighborhood:
                 break
             grow = (grow - neighborhood) & neighborhood
-        yield level
+        yield level, reaches
         pending += reversed(expansions)
 
 
@@ -128,8 +134,25 @@ def enumerate_csg_rec(
     nodes (used by bounded DP such as IDP); growth is monotone, so
     pruning loses exactly the over-sized sets and nothing else.
     """
-    for level in _levels(graph, subset, excluded, max_size):
+    reach = graph.neighborhood(subset) | subset
+    for level, _reaches in _levels(graph, subset, reach, excluded, max_size):
         yield from level
+
+
+def _csgs(graph: QueryGraph, max_size: int | None) -> Iterator[tuple[int, int]]:
+    """:func:`enumerate_csg`'s emissions, each with its reach."""
+    if max_size is not None and max_size < 1:
+        return
+    neighbors = graph.neighbor_masks
+    for start in range(graph.n_relations - 1, -1, -1):
+        start_mask = 1 << start
+        reach = neighbors[start] | start_mask
+        yield start_mask, reach
+        lower_or_equal = (start_mask << 1) - 1  # B_i = {v_j | j <= i}
+        for level, reaches in _levels(
+            graph, start_mask, reach, lower_or_equal, max_size
+        ):
+            yield from zip(level, reaches)
 
 
 def enumerate_csg(
@@ -148,14 +171,8 @@ def enumerate_csg(
     most that many nodes.
     """
     _check_numbering(graph, trust_numbering)
-    if max_size is not None and max_size < 1:
-        return
-    for start in range(graph.n_relations - 1, -1, -1):
-        start_mask = bitset.bit(start)
-        yield start_mask
-        lower_or_equal = (start_mask << 1) - 1  # B_i = {v_j | j <= i}
-        for level in _levels(graph, start_mask, lower_or_equal, max_size):
-            yield from level
+    for subset, _reach in _csgs(graph, max_size):
+        yield subset
 
 
 def enumerate_cmp(
@@ -175,20 +192,25 @@ def enumerate_cmp(
     _check_numbering(graph, trust_numbering)
     if subset == 0:
         raise GraphError("EnumerateCmp requires a non-empty S1")
-    yield from _complements(graph, subset, max_size)
+    reach = graph.neighborhood(subset) | subset
+    yield from _complements(graph, subset, reach, max_size)
 
 
 def _complements(
-    graph: QueryGraph, subset: int, max_size: int | None
+    graph: QueryGraph, subset: int, reach: int, max_size: int | None
 ) -> list[int]:
-    """:func:`enumerate_cmp`'s emissions for ``subset``, as one list."""
+    """:func:`enumerate_cmp`'s emissions for ``subset``, as one list.
+
+    ``reach`` is ``subset`` plus its neighbors, as the csg enumeration
+    carries it.
+    """
     complements: list[int] = []
     if max_size is not None and max_size < 1:
         return complements
     min_mask = subset & -subset
     lower_or_equal = (min_mask << 1) - 1  # B_{min(S1)}
     excluded = lower_or_equal | subset
-    neighborhood = graph.neighborhood(subset) & ~excluded
+    neighborhood = reach & ~excluded
     neighbors = graph.neighbor_masks
     # Descending node order, per the paper's "for all v_i in N by
     # descending i". Each start node v_i excludes X ∪ B_i(N) — the
@@ -205,9 +227,36 @@ def _complements(
         start_excluded = excluded | neighborhood
         neighborhood ^= start_mask
         if neighbors[start] & ~start_excluded:
-            for level in _levels(graph, start_mask, start_excluded, max_size):
+            for level, _reaches in _levels(
+                graph,
+                start_mask,
+                neighbors[start] | start_mask,
+                start_excluded,
+                max_size,
+            ):
                 complements += level
     return complements
+
+
+def enumerate_csg_cmp_lists(
+    graph: QueryGraph,
+    trust_numbering: bool = False,
+    max_union_size: int | None = None,
+) -> Iterator[tuple[int, list[int]]]:
+    """Every csg ``S1``, in :func:`enumerate_csg` order, with its complements.
+
+    The pairs of :func:`enumerate_csg_cmp_pairs`, in the same order,
+    grouped by ``S1``: each csg comes once, with the list of every
+    ``S2`` it pairs with (empty when it pairs with none). The list is
+    built when ``S1`` is reached, from the reach the csg enumeration
+    carried, so ``N(S1)`` is one AND. ``max_union_size`` bounds
+    ``|S1| + |S2|`` as for the pair stream.
+    """
+    _check_numbering(graph, trust_numbering)
+    bounded = max_union_size is not None
+    for left, reach in _csgs(graph, max_union_size - 1 if bounded else None):
+        headroom = max_union_size - left.bit_count() if bounded else None
+        yield left, _complements(graph, left, reach, headroom)
 
 
 def enumerate_csg_cmp_pairs(
@@ -223,19 +272,15 @@ def enumerate_csg_cmp_pairs(
     of all connected subsets of ``S1`` and of ``S2`` are already
     computable from previously emitted pairs — the property DPccp
     needs (paper §3.1). The stream is lazy per csg ``S1``: its
-    complements are built as one list when ``S1`` is reached.
+    complements are built as one list when ``S1`` is reached (see
+    :func:`enumerate_csg_cmp_lists`).
 
     ``max_union_size`` restricts the stream to pairs with
     ``|S1| + |S2| <= max_union_size``, pruning the enumeration itself
     (not just filtering) — the bounded-DP mode IDP uses.
     """
-    _check_numbering(graph, trust_numbering)
-    bounded = max_union_size is not None
-    for left in enumerate_csg(
-        graph,
-        trust_numbering=True,
-        max_size=max_union_size - 1 if bounded else None,
+    for left, rights in enumerate_csg_cmp_lists(
+        graph, trust_numbering, max_union_size
     ):
-        headroom = max_union_size - left.bit_count() if bounded else None
-        for right in _complements(graph, left, headroom):
+        for right in rights:
             yield left, right

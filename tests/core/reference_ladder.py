@@ -7,10 +7,14 @@ speed-ups:
 
 * GOO tests every forest pair with ``QueryGraph.are_connected``, which
   rebuilds ``N(S)`` one bit at a time;
-* IKKBZ recomputes a module's rank on every comparison and merges even
-  a single chain through the heap;
-* LinDP's separable sweep visits every split ``k``, infinite halves
-  included;
+* IKKBZ recomputes a module's rank on every comparison, merges even
+  a single chain through the heap, and orders each root in its own
+  recursive pass, normalizing every subtree chain again per root;
+* LinDP orders its roots through those passes, prices each cell of its
+  proxy ranking and interval tables through
+  ``QueryGraph.crossing_selectivity``, rebuilds the leaves for each
+  ordering, and its separable sweep visits every split ``k``, infinite
+  halves included;
 * IDP-1's driver runs its own bounded DP per iteration, which
   translates both masks of every csg-cmp-pair and builds a
   ``JoinTree`` for every orientation it prices.
@@ -29,9 +33,11 @@ from repro.core.base import CounterSet, PlanTable
 from repro.core.greedy import GreedyOperatorOrdering
 from repro.core.idp import IterativeDP
 from repro.core.ikkbz import IKKBZ
-from repro.core.lindp import LinDP
+from repro.core.lindp import ALL_ROOTS_LIMIT, MAX_DP_ROOTS, LinDP, leaf_order
 from repro.cost.base import CostModel
 from repro.cost.cardinality import CardinalityEstimator
+from repro.errors import OptimizerError
+from repro.graph.properties import is_tree
 from repro.graph.querygraph import QueryGraph
 from repro.graph.subgraphs import enumerate_csg_cmp_pairs
 from repro.plans.jointree import JoinTree
@@ -211,7 +217,36 @@ def ikkbz_order_for_root(
 
 
 class ReferenceIKKBZ(IKKBZ):
-    """IKKBZ over the reference :func:`ikkbz_order_for_root`."""
+    """IKKBZ with a separate pass per root.
+
+    Holds the old ``_run``, which calls :func:`ikkbz_order_for_root`
+    once per root, so it runs none of IKKBZ's production ordering.
+    """
+
+    def _run(
+        self,
+        graph: QueryGraph,
+        cost_model: CostModel,
+        table: PlanTable,
+        counters: CounterSet,
+    ) -> None:
+        if not is_tree(graph):
+            raise OptimizerError(
+                "IKKBZ requires an acyclic (tree) query graph; got a "
+                "graph with cycles — use one of the DP algorithms"
+            )
+        estimator = cost_model.estimator
+        best_plan: JoinTree | None = None
+        for root in range(graph.n_relations):
+            order = self._order_for_root(graph, estimator, root, counters)
+            plan = table[1 << order[0]]
+            for index in order[1:]:
+                counters.create_join_tree_calls += 1
+                plan = cost_model.join(plan, table[1 << index])
+            if best_plan is None or plan.cost < best_plan.cost:
+                best_plan = plan
+        assert best_plan is not None
+        table.register(best_plan)
 
     def _order_for_root(
         self,
@@ -224,7 +259,157 @@ class ReferenceIKKBZ(IKKBZ):
 
 
 class ReferenceLinDP(LinDP):
-    """LinDP with the separable sweep over every split."""
+    """LinDP with per-root IKKBZ passes and the separable sweep over every split.
+
+    Holds its own ``_run``, linearizations, proxy ranking and prefix
+    tables, which order every root through :func:`ikkbz_order_for_root`,
+    rebuild the leaves for each ordering and price each table cell
+    through ``QueryGraph.crossing_selectivity``; only ``_rebuild`` is
+    inherited.
+    """
+
+    def _run(
+        self,
+        graph: QueryGraph,
+        cost_model: CostModel,
+        table: PlanTable,
+        counters: CounterSet,
+    ) -> None:
+        goo = GreedyOperatorOrdering().optimize(graph, cost_model=cost_model).plan
+        orderings = self._linearizations(graph, cost_model, goo, counters)
+        counters.extra["lindp_orderings"] = len(orderings)
+        separable = (
+            cost_model.symmetric
+            and cost_model.separable_join_operator is not None
+        )
+        best: JoinTree | None = None
+        for order in orderings:
+            if separable:
+                plan = self._interval_dp_separable(
+                    graph, cost_model, order, counters
+                )
+            else:
+                plan = self._interval_dp_priced(
+                    graph, cost_model, order, counters
+                )
+            if plan is not None and (best is None or plan.cost < best.cost):
+                best = plan
+        # The separable sweep skips intervals whose cost overflowed to
+        # inf, so on large queries no full interval may survive; GOO's
+        # plan is then still valid and cross-product-free.
+        table.register(goo if best is None else best)
+
+    def _linearizations(
+        self,
+        graph: QueryGraph,
+        cost_model: CostModel,
+        goo: JoinTree,
+        counters: CounterSet,
+    ) -> list[list[int]]:
+        """Candidate orderings: GOO's leaf order, plus IKKBZ or BFS."""
+        orderings = [leaf_order(goo)]
+        estimator = cost_model.estimator
+        n = graph.n_relations
+        if is_tree(graph):
+            if n <= ALL_ROOTS_LIMIT:
+                orderings.extend(
+                    ikkbz_order_for_root(graph, estimator, root, counters)
+                    for root in range(n)
+                )
+            else:
+                scored = sorted(
+                    (
+                        (
+                            self._proxy_cost(graph, estimator, order),
+                            root,
+                            order,
+                        )
+                        for root, order in (
+                            (
+                                root,
+                                ikkbz_order_for_root(
+                                    graph, estimator, root, counters
+                                ),
+                            )
+                            for root in range(n)
+                        )
+                    ),
+                    key=lambda entry: entry[:2],
+                )
+                orderings.extend(
+                    entry[2] for entry in scored[:MAX_DP_ROOTS]
+                )
+        else:
+            # Cyclic graph: no precedence tree for IKKBZ. BFS orders are
+            # deterministic, every prefix is connected (so the full
+            # interval always admits at least the left-deep split
+            # chain), and starting from the highest-degree hub tends to
+            # keep joinable relations adjacent.
+            hub = max(range(n), key=lambda index: (graph.degree(index), -index))
+            for start in sorted({0, hub}):
+                orderings.append(graph.bfs_order(start))
+        return orderings
+
+    @staticmethod
+    def _proxy_cost(
+        graph: QueryGraph,
+        estimator: CardinalityEstimator,
+        order: list[int],
+    ) -> float:
+        """Left-deep C_out of ``order`` — a cheap key for ranking roots."""
+        mask = 1 << order[0]
+        card = estimator.base_cardinality(order[0])
+        cost = 0.0
+        for index in order[1:]:
+            card *= estimator.base_cardinality(
+                index
+            ) * graph.crossing_selectivity(1 << index, mask)
+            cost += card
+            mask |= 1 << index
+        return cost
+
+    def _prefix_tables(
+        self,
+        graph: QueryGraph,
+        order: list[int],
+        leaves: list[JoinTree],
+        with_cards: bool,
+    ) -> tuple[list[list[int]], list[list[int]], list[list[float]]]:
+        """Per-interval masks, outside-neighborhoods and cardinalities.
+
+        ``masks[i][j]`` is the bitset of ``order[i..j]``; ``nbs[i][j]``
+        its neighborhood outside the interval (so a split ``[i..k] |
+        [k+1..j]`` is connected iff ``nbs[i][k] & masks[k+1][j]``);
+        ``cards[i][j]`` the estimator's product-form cardinality of the
+        interval, built incrementally (only when ``with_cards``). All
+        three are filled in O(n^2) amortized graph work.
+        """
+        n = len(order)
+        neighbor_masks = graph.neighbor_masks
+        masks = [[0] * n for _ in range(n)]
+        nbs = [[0] * n for _ in range(n)]
+        cards = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            rel = order[i]
+            bit = 1 << rel
+            row_mask, row_nb, row_card = masks[i], nbs[i], cards[i]
+            row_mask[i] = bit
+            row_nb[i] = neighbor_masks[rel] & ~bit
+            if with_cards:
+                row_card[i] = leaves[rel].cardinality
+            for j in range(i + 1, n):
+                rel = order[j]
+                bit = 1 << rel
+                prefix = row_mask[j - 1]
+                row_mask[j] = prefix | bit
+                row_nb[j] = (row_nb[j - 1] | neighbor_masks[rel]) & ~row_mask[j]
+                if with_cards:
+                    row_card[j] = (
+                        row_card[j - 1]
+                        * leaves[rel].cardinality
+                        * graph.crossing_selectivity(bit, prefix)
+                    )
+        return masks, nbs, cards
 
     def _interval_dp_separable(
         self,
@@ -282,6 +467,60 @@ class ReferenceLinDP(LinDP):
         if splits[0][n - 1] < 0:
             return None
         return self._rebuild(cost_model, order, leaves, splits, counters)
+
+    def _interval_dp_priced(
+        self,
+        graph: QueryGraph,
+        cost_model: CostModel,
+        order: list[int],
+        counters: CounterSet,
+    ) -> JoinTree | None:
+        """Generic path: price every feasible split through the model.
+
+        Used for models that are asymmetric or not separable, where the
+        value sweep's float shortcut would be unsound. Materializes one
+        tree per interval; both input orders are priced under
+        asymmetric models (the usual ``CreateJoinTree`` commutativity
+        handling).
+        """
+        n = len(order)
+        leaves = [cost_model.leaf(index) for index in range(graph.n_relations)]
+        masks, nbs, _ = self._prefix_tables(graph, order, leaves, False)
+        trees: list[list[JoinTree | None]] = [[None] * n for _ in range(n)]
+        for i in range(n):
+            trees[i][i] = leaves[order[i]]
+        try_both = not cost_model.symmetric
+        splits_checked = 0
+        for span in range(2, n + 1):
+            for i in range(n - span + 1):
+                j = i + span - 1
+                best: JoinTree | None = None
+                trees_i, nbs_i = trees[i], nbs[i]
+                for k in range(i, j):
+                    left = trees_i[k]
+                    if left is None:
+                        continue
+                    right = trees[k + 1][j]
+                    if right is None:
+                        continue
+                    splits_checked += 1
+                    if not nbs_i[k] & masks[k + 1][j]:
+                        continue
+                    counters.create_join_tree_calls += 1
+                    candidate = cost_model.join(left, right)
+                    if try_both:
+                        counters.create_join_tree_calls += 1
+                        flipped = cost_model.join(right, left)
+                        if flipped.cost < candidate.cost:
+                            candidate = flipped
+                    if best is None or candidate.cost < best.cost:
+                        best = candidate
+                trees[i][j] = best
+        counters.inner_counter += splits_checked
+        counters.extra["lindp_splits"] = (
+            counters.extra.get("lindp_splits", 0) + splits_checked
+        )
+        return trees[0][n - 1]
 
 
 class ReferenceIterativeDP(IterativeDP):

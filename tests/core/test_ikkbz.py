@@ -9,7 +9,8 @@ import pytest
 from repro import bitset
 from repro.catalog.synthetic import random_catalog
 from repro.core.dpccp import DPccp
-from repro.core.ikkbz import IKKBZ, _Module, ikkbz_order_for_root
+from repro.core.base import CounterSet
+from repro.core.ikkbz import IKKBZ, _Module, ikkbz_orders
 from repro.cost.cout import CoutModel
 from repro.errors import OptimizerError
 from repro.graph.generators import (
@@ -91,6 +92,19 @@ class TestIKKBZ:
         result = IKKBZ().optimize(graph)
         assert result.plan.size == 2
 
+    def test_orders_a_chain_of_1100_relations(self):
+        """Deeper than the recursion limit: the chains use no recursion."""
+        n = 1100
+        graph = chain_graph(n, rng=random.Random(11))
+        catalog = random_catalog(n, random.Random(11))
+        counters = CounterSet()
+        orders = ikkbz_orders(graph, CoutModel(graph, catalog).estimator, counters)
+        # From either end, precedence forces the chain's own order.
+        assert orders[0] == list(range(n))
+        assert orders[-1] == list(range(n - 1, -1, -1))
+        assert all(order[0] == root for root, order in enumerate(orders))
+        assert counters.inner_counter == n * (n - 1)
+
 
 class TestZeroCostRank:
     """Regression: C == 0 modules must order by the sign of T - 1.
@@ -123,7 +137,6 @@ class TestZeroCostRank:
         oracle = optimal_left_deep_cost(graph, catalog)
         result = IKKBZ().optimize(graph, cost_model=CoutModel(graph, catalog))
         assert result.cost == pytest.approx(oracle)
-        for root in range(n):
-            order = ikkbz_order_for_root(graph, model.estimator, root)
+        for root, order in enumerate(ikkbz_orders(graph, model.estimator)):
             assert sorted(order) == list(range(n))
             assert order[0] == root

@@ -12,11 +12,14 @@ must reproduce the copies in :mod:`tests.core.reference_dpccp` exactly:
   statistics, and on a model whose cardinality memo GOO filled first;
 * the other DP enumerators' loops on the new table against the same
   loops on the old table (whose step is the old priced ``consider``);
-* the pair stream and the three routines, set for set and in order.
+* the pair stream, its per-csg grouping and the three routines, set
+  for set and in order.
 
 The work pins count calls, not time: DPccp under C_out builds one join
-node per join of the plan it returns, and translates each enumerated
-set at most once on a graph that is not BFS-numbered.
+node per join of the plan it returns, translates each enumerated set at
+most once on a graph that is not BFS-numbered, and finds each csg's
+complements from the reach the csg enumeration carried, without
+walking the csg through ``QueryGraph.neighborhood``.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from repro.graph.querygraph import QueryGraph
 from repro.graph.subgraphs import (
     enumerate_cmp,
     enumerate_csg,
+    enumerate_csg_cmp_lists,
     enumerate_csg_cmp_pairs,
     enumerate_csg_rec,
 )
@@ -292,6 +296,23 @@ def test_pair_stream_matches_reference(max_union_size):
         )
 
 
+@pytest.mark.parametrize("max_union_size", [None, 1, 2, 3, 5, 7])
+def test_csg_cmp_lists_group_the_reference_stream(max_union_size):
+    for graph in stream_graphs():
+        grouped = list(
+            enumerate_csg_cmp_lists(graph, max_union_size=max_union_size)
+        )
+        csg_cap = None if max_union_size is None else max_union_size - 1
+        assert [left for left, _ in grouped] == list(
+            ref.reference_csg(graph, max_size=csg_cap)
+        )
+        assert [
+            (left, right) for left, rights in grouped for right in rights
+        ] == list(
+            ref.reference_csg_cmp_pairs(graph, max_union_size=max_union_size)
+        )
+
+
 @pytest.mark.parametrize("max_size", [None, 1, 2, 3, 5])
 def test_routines_match_reference(max_size):
     for graph in stream_graphs():
@@ -339,6 +360,17 @@ class TestWorkPins:
         # The old loop translated both halves of every pair: 2 * 726.
         assert result.counters.ono_lohman_counter == 726
         assert calls[0] <= count_csg(graph) == 133
+
+    def test_dpccp_carries_each_csgs_reach(self, monkeypatch):
+        graph = star_graph(14, rng=random.Random(2))
+        catalog = random_catalog(14, random.Random(2))
+        assert count_csg(graph) == 8_205
+        calls = count_calls(monkeypatch, QueryGraph, "neighborhood")
+        result = DPccp().optimize(graph, catalog=catalog)
+        assert result.counters.ono_lohman_counter == 53_248
+        # The old stream walked every csg once more to find its
+        # complements: 8,221 calls.
+        assert calls[0] < 100
 
     def test_set_entries_build_on_demand(self):
         graph = chain_graph(4, selectivity=0.1)

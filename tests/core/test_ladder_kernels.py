@@ -1,4 +1,4 @@
-"""Ladder kernels against their references, plus two work pins.
+"""Ladder kernels against their references, plus work pins.
 
 GOO, IKKBZ, LinDP's separable interval sweep and IDP-1's bounded DP
 must return exactly what the copies in
@@ -10,27 +10,36 @@ and queries whose estimates overflow to inf, under both cost models.
 
 The IDP-1 reference holds its own driver and block DP; a guard makes
 every reference run fail if it reaches the production pair pass or
-the table's join step, and checks that it ran its own block DP.
+the table's join step, and checks that it ran its own block DP. The
+IKKBZ and LinDP references hold their own ``_run`` (and LinDP its own
+linearizations, proxy and tables); a guard makes them fail if they
+reach :func:`repro.core.ikkbz.ikkbz_orders` or LinDP's production
+methods, and checks that they ordered every root of a tree through
+their own per-root pass.
 
 The work pins count calls, not time: GOO tests its pairs without
-``QueryGraph.are_connected``, and IDP-1 under C_out builds join trees
-only for its committed blocks and its final plan.
+``QueryGraph.are_connected``, IDP-1 under C_out builds join trees only
+for its committed blocks and its final plan, LinDP normalizes each
+directed edge of a tree once, and its proxy ranking and interval
+tables multiply selectivities without ``QueryGraph.crossing_selectivity``.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 import repro.core.dpccp as dpccp_module
 import repro.core.idp as idp_module
+import repro.core.ikkbz as ikkbz_module
 import repro.core.lindp as lindp_module
 from repro.catalog.synthetic import random_catalog, uniform_catalog
 from repro.core.base import CounterSet, PlanTable
 from repro.core.greedy import GreedyOperatorOrdering
 from repro.core.idp import IterativeDP
-from repro.core.ikkbz import IKKBZ, ikkbz_order_for_root
+from repro.core.ikkbz import IKKBZ, ikkbz_orders
 from repro.core.lindp import LinDP
 from repro.cost.cout import CoutModel
 from repro.cost.disk import DiskCostModel
@@ -42,6 +51,7 @@ from repro.graph.generators import (
     random_tree_graph,
     star_graph,
 )
+from repro.graph.properties import is_tree
 from repro.graph.querygraph import JoinEdge, QueryGraph
 from repro.plans.jointree import JoinTree
 from tests.core import reference_ladder as ref
@@ -160,14 +170,58 @@ def assert_same_result(result, reference) -> None:
     assert result.table_probes == reference.table_probes
 
 
+def production(*args, **kwargs):
+    raise AssertionError("a ladder reference reached production code")
+
+
+def counted_roots(patch) -> list[int]:
+    """Count the reference's per-root IKKBZ passes while ``patch`` holds."""
+    roots = [0]
+    order_for_root = ref.ikkbz_order_for_root
+
+    def counted(*args):
+        roots[0] += 1
+        return order_for_root(*args)
+
+    patch.setattr(ref, "ikkbz_order_for_root", counted)
+    return roots
+
+
 def reference_lindp(monkeypatch, graph, model):
-    """Reference LinDP end to end: its GOO seed and IKKBZ orders too."""
+    """Reference LinDP end to end: its GOO seed and IKKBZ orders too.
+
+    The production IKKBZ pass and every LinDP method the reference
+    holds a copy of raise while it runs; on a tree it must have ordered
+    every root through its own per-root pass.
+    """
     with monkeypatch.context() as patch:
-        patch.setattr(lindp_module, "GreedyOperatorOrdering", ref.ReferenceGOO)
-        patch.setattr(
-            lindp_module, "ikkbz_order_for_root", ref.ikkbz_order_for_root
-        )
-        return ref.ReferenceLinDP().optimize(graph, cost_model=model)
+        patch.setattr(ref, "GreedyOperatorOrdering", ref.ReferenceGOO)
+        patch.setattr(ikkbz_module, "ikkbz_orders", production)
+        patch.setattr(lindp_module, "ikkbz_orders", production)
+        for name in (
+            "_run",
+            "_linearizations",
+            "_proxy_cost",
+            "_prefix_tables",
+            "_interval_dp_separable",
+            "_interval_dp_priced",
+        ):
+            patch.setattr(LinDP, name, production)
+        roots = counted_roots(patch)
+        reference = ref.ReferenceLinDP().optimize(graph, cost_model=model)
+    assert roots[0] == (graph.n_relations if is_tree(graph) else 0)
+    return reference
+
+
+def reference_ikkbz(monkeypatch, graph, model):
+    """Reference IKKBZ, guarded like :func:`reference_lindp`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ikkbz_module, "ikkbz_orders", production)
+        patch.setattr(IKKBZ, "_run", production)
+        roots = counted_roots(patch)
+        reference = ref.ReferenceIKKBZ().optimize(graph, cost_model=model)
+    assert roots[0] == graph.n_relations
+    return reference
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -194,24 +248,26 @@ def test_ikkbz_orders_match_reference(case):
     # Both cost models share this estimator; the orders depend on it alone.
     estimator = CoutModel(graph, catalog).estimator
     reference_estimator = CoutModel(graph, catalog).estimator
-    for root in range(graph.n_relations):
-        counters, reference_counters = CounterSet(), CounterSet()
-        order = ikkbz_order_for_root(graph, estimator, root, counters)
-        expected = ref.ikkbz_order_for_root(
+    counters, reference_counters = CounterSet(), CounterSet()
+    orders = ikkbz_orders(graph, estimator, counters)
+    expected = [
+        ref.ikkbz_order_for_root(
             graph, reference_estimator, root, reference_counters
         )
-        assert order == expected
-        assert counters.as_dict() == reference_counters.as_dict()
+        for root in range(graph.n_relations)
+    ]
+    assert orders == expected
+    assert counters.as_dict() == reference_counters.as_dict()
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("case", params(LIGHT, TIED, keep=is_tree_shape))
-def test_ikkbz_matches_reference(case, model):
+def test_ikkbz_matches_reference(monkeypatch, case, model):
     graph, catalog = instance(case)
     build = MODELS[model]
     assert_same_result(
         IKKBZ().optimize(graph, cost_model=build(graph, catalog)),
-        ref.ReferenceIKKBZ().optimize(graph, cost_model=build(graph, catalog)),
+        reference_ikkbz(monkeypatch, graph, build(graph, catalog)),
     )
 
 
@@ -225,8 +281,8 @@ def test_ikkbz_matches_reference(case, model):
             pytest.param("cout", case, id=f"cout-{case[0]}")
             for case in selected(LIGHT, TIED, LADDER, OVERFLOWED)
         ),
-        # The asymmetric model takes the unchanged priced path; only
-        # the GOO and IKKBZ orders it sweeps are new there.
+        # The asymmetric model takes the priced path over the same
+        # GOO and IKKBZ orders.
         *(
             pytest.param("disk", case, id=f"disk-{case[0]}")
             for case in selected(LIGHT, TIED, keep=lambda shape, n: n <= 24)
@@ -313,3 +369,31 @@ class TestWorkPins:
         # n - 1. The old loop built a tree for each of 171 winning
         # pricings.
         assert calls[0] == 15
+
+    def test_lindp_normalizes_each_directed_edge_once(self, monkeypatch):
+        graph, catalog = light_instance("tree", 40)
+        calls = count_calls(monkeypatch, ikkbz_module, "_normalize")
+        result = LinDP().optimize(graph, catalog=catalog)
+        # One pass per root normalized n(n - 1) = 1,560 chains.
+        assert calls[0] <= 2 * 39
+        # Every root still counts its 39 child steps.
+        assert result.counters.inner_counter - result.counters.extra[
+            "lindp_splits"
+        ] == 40 * 39
+
+    def test_lindp_tables_and_proxy_multiply_inline(self, monkeypatch):
+        # Past ALL_ROOTS_LIMIT, so the proxy ranks all 40 roots.
+        graph, catalog = light_instance("tree", 40)
+        callers: list[str] = []
+        original = QueryGraph.crossing_selectivity
+
+        def recorded(self, left, right):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(self, left, right)
+
+        monkeypatch.setattr(QueryGraph, "crossing_selectivity", recorded)
+        LinDP().optimize(graph, catalog=catalog)
+        # GOO and the winner's rebuild still estimate through the graph.
+        assert callers
+        # One call per table cell and per proxy step before.
+        assert not {"_prefix_tables", "_proxy_cost"} & set(callers)
