@@ -347,19 +347,11 @@ def _cardinality_table(
 
 def _join_factors(
     cost_model: CostModel, n: int
-) -> tuple[list[float], list[tuple[tuple[int, float], ...]]]:
+) -> tuple[list[float], tuple[tuple[tuple[int, float], ...], ...]]:
     """Base cardinality and ``(neighbour bit, selectivity)`` per relation."""
     estimator = cost_model.estimator
-    cost_graph = cost_model.graph
-    incidence: list[tuple[tuple[int, float], ...]] = []
-    for vertex in range(n):
-        pairs = []
-        for edge in cost_graph.edges_of(vertex):
-            other = edge.right if edge.left == vertex else edge.left
-            pairs.append((1 << other, edge.selectivity))
-        incidence.append(tuple(pairs))
     base = [float(estimator.base_cardinality(vertex)) for vertex in range(n)]
-    return base, incidence
+    return base, cost_model.graph.incidence
 
 
 def _masks_by_size(numpy, n: int):

@@ -152,11 +152,12 @@ class ModuleMutableStateRule(Rule):
         "code (runtime), not just populated at import time"
     )
     invariant = (
-        "worker processes re-import modules fresh: runtime mutations "
-        "in the parent are invisible to workers, so shared registries "
-        "must be import-time-frozen; backed by the parallel "
-        "differential battery (bit-identical counters require both "
-        "sides to see the same registry contents)"
+        "a worker process started by spawn or forkserver re-imports "
+        "every module: runtime mutations in the parent are invisible "
+        "to it, so shared registries must be import-time-frozen; "
+        "backed by tests/parallel/test_pool.py, where a worker-process "
+        "run must return the in-process run's plan and counters (both "
+        "sides must see the same registry contents)"
     )
     include = (
         "*/repro/service/*.py",

@@ -2,15 +2,16 @@
 
 Join costs are floats accumulated in different association orders by
 different backends: the sequential DP adds ``(leaf + leaf) + leaf``,
-the DPconv lattice sweep reduces over a vectorized min-plus table, and
-the parallel merge recomposes shard results. Equal *plans* therefore
-do not guarantee bit-equal *costs* outside the explicitly contracted
-paths, so exact ``==`` on a cost is either a latent flake or an
-undocumented bit-identity claim — both deserve a look.
+and the DPconv lattice sweep reduces over a vectorized min-plus table.
+Equal *plans* therefore do not guarantee bit-equal *costs* outside the
+explicitly contracted paths, so exact ``==`` on a cost is either a
+latent flake or an undocumented bit-identity claim — both deserve a
+look.
 
 The second rule encodes the DPconv paper's structural precondition
-(arXiv 2409.08013): the value-only lattice sweep and the parallel
-merge protocol are only exact when the cost model is *separable and
+(arXiv 2409.08013): the value-only lattice sweep, LinDP's separable
+interval sweep and :class:`~repro.core.base.PlanTable`'s value-only
+join step are only exact when the cost model is *separable and
 symmetric*. Every consumer of ``separable_join_operator`` must
 therefore gate on both halves — the operator being non-``None`` *and*
 ``symmetric`` — before taking the fast path.
@@ -54,10 +55,13 @@ class ExactFloatCostComparisonRule(Rule):
     )
     invariant = (
         "cross-backend equality is 'same plan, same counters, cost "
-        "equal up to association noise' (math.isclose) except for the "
-        "sequential-vs-parallel DPsize pair, whose bit-identity IS the "
-        "contract — those sites belong in the baseline with that "
-        "justification; backed by tests/test_differential_optimal.py"
+        "equal up to association noise' (math.isclose); bit-identical "
+        "cost is the contract only where a kernel is pinned to its "
+        "verbatim reference copy, and such a site belongs in the "
+        "baseline with that justification; backed by "
+        "tests/test_differential_optimal.py and the reference "
+        "differentials in tests/core/test_dpconv_kernels.py and "
+        "tests/core/test_ladder_kernels.py"
     )
     include = ("*/repro/*.py",)
 
@@ -102,12 +106,13 @@ class SeparabilityGateRule(Rule):
         "cost_model.symmetric)"
     )
     invariant = (
-        "the DPconv value-only sweep and the parallel merge protocol "
-        "are exact only for separable *symmetric* cost models (the "
-        "split-independence precondition of arXiv 2409.08013); "
-        "ungated fast paths silently misprice DiskCostModel plans — "
-        "backed by the dpconv/parallel differential batteries' "
-        "non-separable fallback cases"
+        "the DPconv value-only sweep, LinDP's separable interval sweep "
+        "and PlanTable's value-only join step are exact only for "
+        "separable *symmetric* cost models (the split-independence "
+        "precondition of arXiv 2409.08013); ungated fast paths "
+        "silently misprice DiskCostModel plans — backed by the "
+        "DiskCostModel cases of tests/core/test_dpconv.py, "
+        "test_ladder_kernels.py and test_join_step.py"
     )
     include = (
         "*/repro/core/*.py",

@@ -174,9 +174,11 @@ class UnorderedSetIterationRule(Rule):
         "in a determinism-critical module without sorted()"
     )
     invariant = (
-        "bit-identical plans/counters across sequential, parallel and "
-        "DPconv backends and stable cache fingerprints; backed by "
-        "tests/test_differential_optimal.py, tests/parallel/ and "
+        "bit-identical plans/counters across DPconv's backends, "
+        "against the verbatim reference kernels and between in-process "
+        "and worker-process runs, and stable cache fingerprints; "
+        "backed by tests/test_differential_optimal.py, the reference "
+        "differentials in tests/core/, tests/parallel/test_pool.py and "
         "tests/service/test_fingerprint*.py, which catch order bugs "
         "only probabilistically"
     )

@@ -7,11 +7,11 @@ service suitable for heavy repeated traffic:
   cache keys for (graph, catalog) pairs;
 * :mod:`~repro.service.plancache` — thread-safe LRU + TTL cache with a
   stampede guard;
-* :mod:`~repro.service.metrics` — counters and latency histograms;
 * :mod:`~repro.service.optimizer_service` — :class:`PlanService`, the
-  cache → worker pool → deadline/degradation pipeline;
-* :mod:`~repro.service.batch` — batch submission with in-flight
-  deduplication and per-group failure isolation.
+  cache → worker pool → deadline/degradation pipeline, with batch
+  planning over the same request path;
+* :mod:`~repro.service.metrics` — text rendering of the service's
+  counter and latency snapshot.
 
 The pipeline is fault-tolerant end to end: worker-process crashes are
 retried on a respawned pool (:mod:`repro.parallel.resilience`),
@@ -35,9 +35,8 @@ Quick start::
         assert second.cache_hit and second.cost == first.cost
 """
 
-from repro.service.batch import plan_batch
 from repro.service.fingerprint import Fingerprint, compute_fingerprint, quantize
-from repro.service.metrics import MetricsRegistry, render_snapshot
+from repro.service.metrics import render_snapshot
 from repro.service.optimizer_service import PlanRequest, PlanResponse, PlanService
 from repro.service.plancache import CacheStats, PlanCache
 
@@ -50,7 +49,5 @@ __all__ = [
     "Fingerprint",
     "compute_fingerprint",
     "quantize",
-    "MetricsRegistry",
     "render_snapshot",
-    "plan_batch",
 ]

@@ -32,8 +32,8 @@ something a query engine can keep resident and hammer:
   lock domains via :class:`~repro.service.sharding.ShardedPlanCache`,
   so concurrent lookups for distinct fingerprints stop contending on
   one lock;
-* counters and latency histograms record all of the above
-  (:class:`~repro.service.metrics.MetricsRegistry`).
+* counters and latency histograms record all of the above in the
+  service's :class:`~repro.obs.Instrumentation` registries.
 
 Caching never changes what a plan costs: a hit returns a plan with
 exactly the cost a fresh optimization of the cached instance produced.
@@ -60,7 +60,6 @@ from repro.plans.jointree import JoinTree
 from repro.plans.visitors import relabel_plan
 from repro.service.fingerprint import Fingerprint, compute_fingerprint
 from repro.obs.instrumentation import Instrumentation
-from repro.service.metrics import MetricsRegistry
 from repro.service.plancache import CacheStats
 from repro.service.sharding import ShardedPlanCache
 
@@ -100,9 +99,7 @@ class PlanResponse:
         fingerprint_key: the request's canonical identity (cache key
             sans algorithm prefix).
         elapsed_seconds: wall-clock time this request spent in the
-            service, fingerprinting, queueing and waiting included
-            (:meth:`PlanService.plan_prepared` callers fingerprint
-            before the clock starts).
+            service, fingerprinting, queueing and waiting included.
         optimize_seconds: time the underlying optimization itself took
             (the cached value for hits and rank-2 answers; the rung's
             own time when a rung answered).
@@ -210,7 +207,7 @@ class PlanService:
             (the GIL-bound baseline); ``>= 2`` moves every cache-miss
             optimization onto a shared
             :class:`~repro.parallel.pool.PlanningPool`, so distinct
-            batch leaders truly plan concurrently. The thread pool then
+            misses truly plan concurrently. The thread pool then
             only coordinates (fingerprint, cache, relabel, wait).
         default_deadline_seconds: deadline applied to requests that do
             not carry their own; ``None`` means unbounded. A deadline
@@ -297,9 +294,6 @@ class PlanService:
         self._exact: dict[tuple, _ExactHit] = {}
         self._exact_lock = threading.Lock()
         self._exact_capacity = cache_capacity
-        self._metrics = MetricsRegistry(
-            counters=self._obs.counters, histograms=self._obs.histograms
-        )
         self._workers = workers
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="plan-service"
@@ -329,7 +323,7 @@ class PlanService:
         else:
             self._process_pool = None
         # Front door for submit_request(); created lazily and kept
-        # separate from self._executor — plan_prepared itself submits
+        # separate from self._executor — plan_request itself submits
         # to and waits on the worker pool, so running it there could
         # deadlock a fully-loaded pool.
         self._front_door: ThreadPoolExecutor | None = None
@@ -411,7 +405,23 @@ class PlanService:
         only below the quantization digits, misses the table and shares
         the cache entry through the fingerprint as before.
         """
-        return self._serve(request, None)
+        if self._closed.is_set():
+            raise ServiceError("the plan service is closed")
+        with self._obs.span(
+            "service.request",
+            algorithm=request.algorithm or self._algorithm,
+            n_relations=request.graph.n_relations,
+        ) as span:
+            started = time.perf_counter()
+            response = self._plan_under_span(request, started)
+            if span is not None:
+                span.attributes["outcome"] = (
+                    "degraded"
+                    if response.degraded
+                    else "hit" if response.cache_hit else "miss"
+                )
+                span.attributes["elapsed_seconds"] = response.elapsed_seconds
+            return response
 
     def submit_request(self, request: PlanRequest) -> "Future[PlanResponse]":
         """Plan asynchronously; returns a future for the response.
@@ -451,67 +461,24 @@ class PlanService:
                 )
             return self._front_door
 
-    def plan_prepared(
-        self, request: PlanRequest, fingerprint: Fingerprint
-    ) -> PlanResponse:
-        """Plan a request whose fingerprint the caller already computed.
-
-        This is the batch layer's entry point — it fingerprints every
-        request up front to group duplicates, then feeds each group
-        through here without paying for a second canonicalization. It
-        never consults the exact-instance table.
-        """
-        return self._serve(request, fingerprint)
-
-    def _serve(
-        self, request: PlanRequest, fingerprint: Fingerprint | None
-    ) -> PlanResponse:
-        """Open the request span, start the clock, run the pipeline.
-
-        ``fingerprint`` is ``None`` on the :meth:`plan_request` path,
-        which looks the request up in the exact-instance table.
-        """
-        if self._closed.is_set():
-            raise ServiceError("the plan service is closed")
-        with self._obs.span(
-            "service.request",
-            algorithm=request.algorithm or self._algorithm,
-            n_relations=request.graph.n_relations,
-        ) as span:
-            started = time.perf_counter()
-            response = self._plan_under_span(request, fingerprint, started)
-            if span is not None:
-                span.attributes["outcome"] = (
-                    "degraded"
-                    if response.degraded
-                    else "hit" if response.cache_hit else "miss"
-                )
-                span.attributes["elapsed_seconds"] = response.elapsed_seconds
-            return response
-
     def _plan_under_span(
-        self,
-        request: PlanRequest,
-        fingerprint: Fingerprint | None,
-        started: float,
+        self, request: PlanRequest, started: float
     ) -> PlanResponse:
         """The request pipeline proper (exact table → cache → pool →
         deadline)."""
-        exact_key: tuple | None = None
-        remembered: _ExactHit | None = None
-        if fingerprint is None:
-            catalog = request.catalog
-            exact_key = (
-                request.graph,
-                None if catalog is None else catalog.cardinalities(),
-            )
-            remembered = self._exact.get(exact_key)
-            if remembered is not None:
-                fingerprint = remembered.fingerprint
-            else:
-                with self._obs.span("service.fingerprint"):
-                    fingerprint = self.fingerprint_of(request.graph, catalog)
-        self._metrics.counter("requests").increment()
+        catalog = request.catalog
+        exact_key = (
+            request.graph,
+            None if catalog is None else catalog.cardinalities(),
+        )
+        remembered = self._exact.get(exact_key)
+        if remembered is not None:
+            fingerprint = remembered.fingerprint
+        else:
+            with self._obs.span("service.fingerprint"):
+                fingerprint = self.fingerprint_of(request.graph, catalog)
+        counters = self._obs.counters
+        counters.increment("requests")
         algorithm = request.algorithm or self._algorithm
         if algorithm not in ALGORITHMS:
             known = ", ".join(sorted(ALGORITHMS))
@@ -528,7 +495,7 @@ class PlanService:
         with self._obs.span("service.cache_lookup"):
             status, payload = self._cache.get_or_join(cache_key)
         if status == "hit":
-            self._metrics.counter("cache_hits").increment()
+            counters.increment("cache_hits")
             return self._respond(
                 request, fingerprint, payload, started, True, exact_key, remembered
             )
@@ -549,9 +516,9 @@ class PlanService:
             job.add_done_callback(
                 lambda finished: self._complete(cache_key, finished)
             )
-            self._metrics.counter("cache_misses").increment()
+            counters.increment("cache_misses")
         else:
-            self._metrics.counter("coalesced").increment()
+            counters.increment("coalesced")
 
         future: Future = payload if status == "follower" else job
         try:
@@ -565,7 +532,7 @@ class PlanService:
             # arrived through PlanCache.abandon. Either way the request
             # degrades instead of re-raising an exception the caller
             # cannot act on.
-            self._metrics.counter("error_fallbacks").increment()
+            counters.increment("error_fallbacks")
             return self._degrade(request, fingerprint, started, error=error)
         # A leader's entry is a fresh optimization (the done-callback
         # stores it); a follower's was computed by another request.
@@ -611,9 +578,7 @@ class PlanService:
                     instrumentation=self._obs,
                 )
             result = kbest.result
-            self._metrics.histogram("optimize_seconds").observe(
-                result.elapsed_seconds
-            )
+            self._obs.histograms.observe("optimize_seconds", result.elapsed_seconds)
             return _CacheEntry(
                 canonical_plans=kbest.plans,
                 algorithm=result.algorithm,
@@ -644,12 +609,12 @@ class PlanService:
                     )
             except PoolBrokenError:
                 self._breaker.record_failure()
-                self._metrics.counter("pool_fallbacks").increment()
+                self._obs.counters.increment("pool_fallbacks")
             else:
                 self._breaker.record_success()
                 result = outcome.result
                 self._obs.record_optimization(result)
-                self._metrics.counter("process_planned").increment()
+                self._obs.counters.increment("process_planned")
                 self._obs.observe(
                     "service.worker_cpu_seconds", outcome.cpu_seconds
                 )
@@ -664,7 +629,7 @@ class PlanService:
                 catalog=canonical_catalog,
                 instrumentation=self._obs,
             )
-        self._metrics.histogram("optimize_seconds").observe(result.elapsed_seconds)
+        self._obs.histograms.observe("optimize_seconds", result.elapsed_seconds)
         return _CacheEntry(
             canonical_plans=(result.plan,),
             algorithm=result.algorithm,
@@ -675,7 +640,7 @@ class PlanService:
         """Pipe a finished worker job into the cache (or abandon it)."""
         error = None if job.cancelled() else job.exception()
         if job.cancelled() or error is not None:
-            self._metrics.counter("errors").increment()
+            self._obs.counters.increment("errors")
             self._cache.abandon(cache_key, error)
         else:
             self._cache.fulfill(cache_key, job.result())
@@ -705,25 +670,21 @@ class PlanService:
         entry: _CacheEntry,
         started: float,
         cache_hit: bool,
-        exact_key: tuple | None = None,
-        remembered: _ExactHit | None = None,
+        exact_key: tuple,
+        remembered: _ExactHit | None,
     ) -> PlanResponse:
         """Answer with a canonical cache entry's rank-1 plan.
 
         ``remembered`` is what the exact-instance table held for
         ``exact_key`` (``None`` on a table miss); its plan is reused
         when the cache served the same entry object. Otherwise the
-        plan is relabelled and, on the :meth:`plan_request` path
-        (``exact_key`` given), remembered.
+        plan is relabelled and remembered.
         """
         if remembered is not None and remembered.entry is entry:
             plan = remembered.plan
         else:
             plan = self._relabel(request, fingerprint, entry.canonical_plan)
-            if exact_key is not None:
-                self._remember_exact(
-                    exact_key, _ExactHit(fingerprint, entry, plan)
-                )
+            self._remember_exact(exact_key, _ExactHit(fingerprint, entry, plan))
         return self._response(
             fingerprint,
             started,
@@ -751,7 +712,7 @@ class PlanService:
         source serves ``plan_rank=2``.
         """
         elapsed = time.perf_counter() - started
-        self._metrics.histogram("plan_latency").observe(elapsed)
+        self._obs.histograms.observe("plan_latency", elapsed)
         return PlanResponse(
             plan=plan,
             algorithm=algorithm,
@@ -801,7 +762,7 @@ class PlanService:
         carries the failure description. Degraded plans are never
         cached.
         """
-        self._metrics.counter("degraded").increment()
+        self._obs.counters.increment("degraded")
         reason = None if error is None else f"{type(error).__name__}: {error}"
         sources = self._ladder.degradation_path(request.graph)
         if self._k_best > 1:
@@ -816,7 +777,7 @@ class PlanService:
                 if reason is not None:
                     span.attributes["error"] = reason
         assert answer is not None
-        self._metrics.counter(f"degraded_rung_{rung}").increment()
+        self._obs.counters.increment(f"degraded_rung_{rung}")
         return self._response(
             fingerprint, started, *answer, rung == "rank-2", rung, reason
         )
@@ -844,36 +805,39 @@ class PlanService:
             return None
         return result.plan, f"{result.algorithm} (degraded)", result.elapsed_seconds
 
-    def plan_degraded(
-        self,
-        request: PlanRequest,
-        fingerprint: Fingerprint,
-        error: BaseException | None = None,
-    ) -> PlanResponse:
-        """Answer ``request`` from the degradation sources directly.
-
-        The batch layer's failure isolation uses this: when a group
-        leader's pipeline raised instead of returning, every member of
-        the group still gets a valid (degraded) plan carrying the
-        failure description, rather than the whole batch dying on one
-        exception.
-        """
-        return self._degrade(
-            request, fingerprint, time.perf_counter(), error=error
-        )
-
     # ------------------------------------------------------------------
     # Batch, introspection, lifecycle
     # ------------------------------------------------------------------
 
     def plan_batch(self, requests: "list[PlanRequest]") -> list[PlanResponse]:
-        """Plan many requests, deduplicating identical fingerprints.
+        """Plan many requests concurrently; responses align with
+        ``requests``.
 
-        See :func:`repro.service.batch.plan_batch`.
+        Every request goes through :meth:`submit_request`, so each one
+        runs the full :meth:`plan_request` pipeline under its own span
+        and deadline. Duplicates, renumbered ones included, share one
+        optimization through the cache's stampede guard: one request
+        per cache key plans, and the others join it or hit the entry
+        it leaves. A request whose pipeline raises is answered from the
+        degradation sources with the failure in ``error``, so one bad
+        request cannot sink the batch. A closed service raises
+        :class:`ServiceError`.
         """
-        from repro.service.batch import plan_batch
-
-        return plan_batch(self, requests)
+        futures = [self.submit_request(request) for request in requests]
+        responses = []
+        for request, future in zip(requests, futures):
+            try:
+                responses.append(future.result())
+            except Exception as error:
+                if self._closed.is_set():
+                    raise
+                fingerprint = self.fingerprint_of(request.graph, request.catalog)
+                responses.append(
+                    self._degrade(
+                        request, fingerprint, time.perf_counter(), error=error
+                    )
+                )
+        return responses
 
     def fingerprint_of(
         self, graph: QueryGraph, catalog: Catalog | None = None
@@ -951,11 +915,6 @@ class PlanService:
         return restored
 
     @property
-    def workers(self) -> int:
-        """Size of the optimizer worker (thread) pool."""
-        return self._workers
-
-    @property
     def jobs(self) -> int:
         """Worker processes doing enumeration; 1 means in-process."""
         return self._process_pool.jobs if self._process_pool is not None else 1
@@ -971,11 +930,6 @@ class PlanService:
         return self._k_best
 
     @property
-    def metrics(self) -> MetricsRegistry:
-        """The service's metrics registry (a view over the obs context)."""
-        return self._metrics
-
-    @property
     def instrumentation(self) -> Instrumentation:
         """The shared obs context: counters, histograms, span trees."""
         return self._obs
@@ -988,7 +942,7 @@ class PlanService:
     def snapshot(self) -> dict:
         """Metrics plus cache stats as one JSON-ready dict."""
         stats = self._cache.stats()
-        snapshot = self._metrics.snapshot()
+        snapshot = self._obs.snapshot(include_spans=False)
         snapshot["cache"] = {
             "hits": stats.hits,
             "misses": stats.misses,
@@ -1015,7 +969,7 @@ class PlanService:
         snapshot["k_best"] = self._k_best
         snapshot["ladder"] = {
             "degraded_rungs": {
-                rung: self._metrics.counter(f"degraded_rung_{rung}").value
+                rung: self._obs.counters.counter(f"degraded_rung_{rung}").value
                 for rung in ("rank-2", "lindp", "goo")
             },
         }

@@ -1,8 +1,7 @@
 """Sharded plan cache: N independent lock domains behind one facade.
 
 The single-lock :class:`~repro.service.plancache.PlanCache` serializes
-every lookup; under the 8-thread hammer the lock, not the hash map, is
-the bottleneck. :class:`ShardedPlanCache` splits the key space over N
+every lookup. :class:`ShardedPlanCache` splits the key space over N
 independent :class:`PlanCache` shards — each with its own lock, LRU
 order, TTL sweep, stale tier and counters — so concurrent requests for
 distinct fingerprints proceed without contending.
@@ -38,12 +37,12 @@ from repro.service.plancache import CacheStats, PlanCache
 
 __all__ = ["HashRing", "ShardedPlanCache", "DEFAULT_SHARDS"]
 
-#: Default shard count for sharded deployments. Tuned from
-#: ``BENCH_server.json`` (see ``repro.bench.server_bench``): the
-#: 8-client hammer's throughput climbs steeply to 8 shards and
-#: flattens after; 8 also matches the hammer's client count, so the
-#: expected collision rate per lookup is below ``1 - (7/8)^7 ≈ 0.6``
-#: contended acquisitions versus 7 guaranteed waits on a single lock.
+#: Default shard count for a :class:`ShardedPlanCache` built without
+#: one (``serve --cache-shards`` also defaults to 8; ``PlanService``
+#: to 1). No bench backs 8: the cache micro-bench that chose it timed
+#: a 2 µs get/put and read within noise of a single lock. Whether
+#: sharding pays on the real hit path, and so whether this class
+#: stays, waits for the request replay (``replaybench``) to measure it.
 DEFAULT_SHARDS = 8
 
 #: Virtual nodes per shard on the ring. 64 points per shard keeps the

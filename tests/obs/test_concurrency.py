@@ -159,4 +159,4 @@ class TestServiceSpansMatchMetrics:
             if child.name == "service.degrade"
         ]
         assert len(degrade_children) == 1
-        assert service.metrics.counter("degraded").value == 1
+        assert obs.counters.value("degraded") == 1

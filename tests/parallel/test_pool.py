@@ -12,7 +12,6 @@ from repro.errors import OptimizerError
 from repro.graph.generators import graph_for_topology
 from repro.parallel import PlanningPool, default_jobs
 from repro.service import PlanRequest, PlanService
-from repro.service.batch import default_concurrency
 
 
 def instance(n, seed):
@@ -97,16 +96,3 @@ class TestServiceProcessPool:
         with pytest.raises(ServiceError):
             PlanService(jobs=0)
 
-
-class TestBatchConcurrencyDerivation:
-    def test_scales_with_workers(self):
-        with PlanService(workers=16) as service:
-            assert default_concurrency(service) == 32
-        with PlanService(workers=1) as service:
-            assert default_concurrency(service) == 2
-
-    def test_default_service_keeps_old_bound(self):
-        # The historical hardcoded bound was 8 for the default
-        # 4-worker service; the derivation preserves it.
-        with PlanService() as service:
-            assert default_concurrency(service) == 8

@@ -123,16 +123,6 @@ class TestWorkPin:
             # The table is bounded like the cache: B displaced A there too.
             assert calls["fingerprint"] == 3
 
-    def test_batch_path_stays_canonical(self, calls):
-        query = make_request()
-        with PlanService(workers=1) as service:
-            service.plan_request(query)
-            fingerprint = service.fingerprint_of(query.graph, query.catalog)
-            before = dict(calls)
-            response = service.plan_prepared(query, fingerprint)
-            assert response.cache_hit
-            assert calls["relabel"] == before["relabel"] + 1
-
 
 class TestRequestBudget:
     @pytest.fixture
@@ -151,6 +141,17 @@ class TestRequestBudget:
         with PlanService(workers=1) as service:
             response = service.plan(
                 graph, random_catalog(9, rng), deadline_seconds=0.02
+            )
+        assert response.elapsed_seconds >= 0.05
+
+    def test_batch_fingerprinting_counts_toward_elapsed_seconds(
+        self, slow_fingerprint
+    ):
+        rng = random.Random(4)
+        graph = star_graph(9, rng=rng)
+        with PlanService(workers=1) as service:
+            (response,) = service.plan_batch(
+                [PlanRequest(graph, random_catalog(9, rng))]
             )
         assert response.elapsed_seconds >= 0.05
 
@@ -182,6 +183,15 @@ class TestSpans:
         assert "service.cache_lookup" in names
         assert not names & {"service.fingerprint", "service.relabel"}
         assert repeat.attributes["outcome"] == "hit"
+
+    def test_batch_requests_fingerprint_inside_their_own_spans(self):
+        requests = [make_request("chain", 6, seed=1), make_request("star", 7, seed=2)]
+        with PlanService(workers=2) as service:
+            service.plan_batch(requests)
+            roots = service.instrumentation.tracer.roots("service.request")
+        assert len(roots) == 2
+        for root in roots:
+            assert root.children[0].name == "service.fingerprint"
 
 
 class TestConcurrency:

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
-from repro.obs import Counter, CounterRegistry, Histogram, HistogramRegistry
-from repro.service.metrics import MetricsRegistry, render_snapshot
-
-
-def fresh_registry() -> MetricsRegistry:
-    return MetricsRegistry(CounterRegistry(), HistogramRegistry())
+from repro.obs import Counter, Histogram, Instrumentation
+from repro.service.metrics import render_snapshot
 
 
 class TestCounter:
@@ -63,30 +58,16 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_instruments_are_singletons_by_name(self):
-        registry = fresh_registry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("h") is registry.histogram("h")
-
-    def test_snapshot_round_trips_through_json(self):
-        registry = fresh_registry()
-        registry.counter("requests").increment(3)
-        registry.histogram("latency").observe(0.010)
-        snapshot = json.loads(registry.to_json())
-        assert snapshot["counters"]["requests"] == 3
-        assert snapshot["histograms"]["latency"]["count"] == 1
-        assert snapshot["histograms"]["latency"]["p99_ms"] == 10.0
-
     def test_render_snapshot(self):
-        registry = fresh_registry()
-        registry.counter("requests").increment()
-        registry.histogram("latency").observe(0.002)
-        text = render_snapshot(registry.snapshot())
+        obs = Instrumentation()
+        obs.counters.increment("requests")
+        obs.histograms.observe("latency", 0.002)
+        text = render_snapshot(obs.snapshot())
         assert "requests" in text
         assert "p99_ms" in text
 
     def test_render_empty_snapshot(self):
-        assert "no metrics" in render_snapshot(fresh_registry().snapshot())
+        assert "no metrics" in render_snapshot(Instrumentation().snapshot())
 
     def test_render_cache_section(self):
         snapshot = {"cache": {"hits": 1, "hit_rate": 0.5}}

@@ -1,7 +1,7 @@
 """A state machine over :class:`PlanService` (hypothesis).
 
 The machine interleaves synchronous planning, zero-deadline planning,
-asynchronous submission and cache clears on one
+asynchronous submission, batches and cache clears on one
 ``PlanService(workers=2, k_best=2, cache_capacity=2)``. It draws from
 four small queries, each also sent as a renumbered twin. With two cache
 slots a third distinct query pushes an entry into the stale tier, so
@@ -88,6 +88,16 @@ class PlanServiceMachine(RuleBasedStateMachine):
         for request, future in zip(requests, futures):
             self.answered.append((request, future.result(timeout=60)))
 
+    @rule(queries=st.lists(QUERY, min_size=1, max_size=4), deadline=DEADLINE)
+    def batch(self, queries: list[int], deadline: float | None) -> None:
+        requests = [
+            PlanRequest(*QUERIES[query], deadline_seconds=deadline)
+            for query in queries
+        ]
+        responses = self.service.plan_batch(requests)
+        assert len(responses) == len(requests)
+        self.answered.extend(zip(requests, responses))
+
     @rule()
     def clear(self) -> None:
         self.service.clear_cache()
@@ -104,7 +114,7 @@ class PlanServiceMachine(RuleBasedStateMachine):
 
     @invariant()
     def counters_reconcile(self) -> None:
-        counters = self.service.metrics.snapshot()["counters"]
+        counters = self.service.snapshot()["counters"]
         assert counters.get("requests", 0) == sum(
             counters.get(name, 0)
             for name in ("cache_hits", "cache_misses", "coalesced")
