@@ -311,6 +311,18 @@ class PlanTable:
         self._cardinalities[mask] = plan.cardinality
         self._splits.pop(mask, None)
 
+    def drop_overlapping(self, mask: int) -> None:
+        """Remove every entry whose relation set meets ``mask``.
+
+        A set entry left behind never refers to a dropped one: its
+        halves are subsets of it, so they miss ``mask`` too.
+        """
+        for key in [key for key in self._costs if key & mask]:
+            del self._costs[key]
+            del self._cardinalities[key]
+            self._plans.pop(key, None)
+            self._splits.pop(key, None)
+
     def masks(self) -> Iterator[int]:
         """All relation sets with a registered plan."""
         return iter(self._costs)

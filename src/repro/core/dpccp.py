@@ -66,6 +66,7 @@ def _pair_pass(
     cost_model: CostModel,
     counters: CounterSet,
     max_union_size: int | None = None,
+    first_node_only: bool = False,
 ) -> None:
     """Offer every csg-cmp-pair of ``graph`` to ``table``'s join step.
 
@@ -74,7 +75,10 @@ def _pair_pass(
     committed block's relations for IDP-1. Each pair is offered in both
     orders under an asymmetric model, in one under a symmetric one, and
     counted. ``max_union_size`` limits the pass to pairs of at most that
-    many nodes (IDP-1's bounded DP).
+    many nodes (IDP-1's bounded DP); ``first_node_only`` to the pairs
+    whose union holds node 0 (IDP-1's passes after a contraction, see
+    :func:`~repro.graph.subgraphs.enumerate_csg_cmp_lists`). Node 0
+    stays node 0 when the graph is renumbered breadth-first.
     """
     if not graph.is_bfs_numbered():
         graph, old_of_new = graph.bfs_renumbered()
@@ -88,15 +92,24 @@ def _pair_pass(
     both_orders = not cost_model.symmetric
     pairs = 0
     for left, rights in enumerate_csg_cmp_lists(
-        graph, trust_numbering=True, max_union_size=max_union_size
+        graph,
+        trust_numbering=True,
+        max_union_size=max_union_size,
+        first_node_only=first_node_only,
     ):
         if original is not None:
             # Each csg is translated once, when the csg stream emits
             # it. Every S2 has a larger minimum than S1 and fits the
-            # cap, so the stream emitted (and translated) it earlier.
+            # cap, so the full stream emitted (and translated) it
+            # earlier; a slice emits none of them as a csg, so each is
+            # translated on its first visit.
             translated = _translate_mask(left, bit_map)
             original[left] = translated
             left = translated
+            if first_node_only:
+                for right in rights:
+                    if right not in original:
+                        original[right] = _translate_mask(right, bit_map)
             rights = [original[right] for right in rights]
         for right in rights:
             pairs += 1

@@ -262,16 +262,15 @@ class QueryGraph:
 
         The empty set is not connected; singletons are. This is the
         ``connected S`` test DPsub performs for every subset it visits.
+        Each round grows from the nodes the last one reached, so every
+        node's neighbors are read once.
         """
         if mask == 0:
             return False
-        start = mask & -mask
-        reached = start
-        frontier = start
+        reached = frontier = mask & -mask
         while frontier:
-            grown = (self.neighborhood(reached) & mask) | reached
-            frontier = grown & ~reached
-            reached = grown
+            frontier = self.neighborhood(frontier) & mask & ~reached
+            reached |= frontier
         return reached == mask
 
     def are_connected(self, left: int, right: int) -> bool:
@@ -380,9 +379,8 @@ class QueryGraph:
         Relations must be numbered so that a breadth-first search from
         node 0 (visiting neighbors in ascending index order) yields
         ``0, 1, .., n-1``. :meth:`bfs_renumbered` produces such a graph.
+        Such a search reaches every node, so the graph is connected.
         """
-        if not self.is_connected:
-            return False
         return self.bfs_order(0) == list(range(self._n))
 
     def bfs_renumbered(self, start: int = 0) -> tuple["QueryGraph", list[int]]:

@@ -139,12 +139,19 @@ def enumerate_csg_rec(
         yield from level
 
 
-def _csgs(graph: QueryGraph, max_size: int | None) -> Iterator[tuple[int, int]]:
-    """:func:`enumerate_csg`'s emissions, each with its reach."""
+def _csgs(
+    graph: QueryGraph, max_size: int | None, first_node_only: bool = False
+) -> Iterator[tuple[int, int]]:
+    """:func:`enumerate_csg`'s emissions, each with its reach.
+
+    ``first_node_only`` keeps only the enumeration from start node 0,
+    which comes last: the csgs that hold node 0.
+    """
     if max_size is not None and max_size < 1:
         return
     neighbors = graph.neighbor_masks
-    for start in range(graph.n_relations - 1, -1, -1):
+    starts = (0,) if first_node_only else range(graph.n_relations - 1, -1, -1)
+    for start in starts:
         start_mask = 1 << start
         reach = neighbors[start] | start_mask
         yield start_mask, reach
@@ -242,6 +249,7 @@ def enumerate_csg_cmp_lists(
     graph: QueryGraph,
     trust_numbering: bool = False,
     max_union_size: int | None = None,
+    first_node_only: bool = False,
 ) -> Iterator[tuple[int, list[int]]]:
     """Every csg ``S1``, in :func:`enumerate_csg` order, with its complements.
 
@@ -251,10 +259,19 @@ def enumerate_csg_cmp_lists(
     built when ``S1`` is reached, from the reach the csg enumeration
     carried, so ``N(S1)`` is one AND. ``max_union_size`` bounds
     ``|S1| + |S2|`` as for the pair stream.
+
+    ``first_node_only`` keeps the slice of the stream whose csgs hold
+    node 0, in the same order. Every ``S2`` lacks node 0 (its nodes
+    are above ``min(S1)``), so these are exactly the pairs whose union
+    holds node 0: what a DP must add to a table that already holds
+    every connected set without node 0 (IDP-1's passes after a
+    contraction, which numbers the new compound node 0).
     """
     _check_numbering(graph, trust_numbering)
     bounded = max_union_size is not None
-    for left, reach in _csgs(graph, max_union_size - 1 if bounded else None):
+    for left, reach in _csgs(
+        graph, max_union_size - 1 if bounded else None, first_node_only
+    ):
         headroom = max_union_size - left.bit_count() if bounded else None
         yield left, _complements(graph, left, reach, headroom)
 

@@ -465,7 +465,14 @@ class PlanService:
         self, request: PlanRequest, started: float
     ) -> PlanResponse:
         """The request pipeline proper (exact table → cache → pool →
-        deadline)."""
+        deadline). An unknown algorithm is refused before the request
+        is fingerprinted or counted."""
+        algorithm = request.algorithm or self._algorithm
+        if algorithm not in ALGORITHMS:
+            known = ", ".join(sorted(ALGORITHMS))
+            raise ServiceError(
+                f"unknown algorithm {algorithm!r}; expected one of: {known}"
+            )
         catalog = request.catalog
         exact_key = (
             request.graph,
@@ -479,12 +486,6 @@ class PlanService:
                 fingerprint = self.fingerprint_of(request.graph, catalog)
         counters = self._obs.counters
         counters.increment("requests")
-        algorithm = request.algorithm or self._algorithm
-        if algorithm not in ALGORITHMS:
-            known = ", ".join(sorted(ALGORITHMS))
-            raise ServiceError(
-                f"unknown algorithm {algorithm!r}; expected one of: {known}"
-            )
         deadline = (
             request.deadline_seconds
             if request.deadline_seconds is not None

@@ -1,12 +1,14 @@
 """Reference ladder kernels: GOO, IKKBZ, LinDP's sweep and IDP's block DP.
 
 These are the versions the faster kernels in :mod:`repro.core` must
-match exactly: the same plan, cost, counters and table size on every
-input. Each is a verbatim copy of the code before its per-step
-speed-ups:
+match: the same plan, cost and table size on every input, and
+counters that equal the counts these copies give (see
+:mod:`tests.core.test_ladder_kernels` for how each counter is held).
+Each is a copy of the code before its per-step speed-ups:
 
 * GOO tests every forest pair with ``QueryGraph.are_connected``, which
-  rebuilds ``N(S)`` one bit at a time;
+  rebuilds ``N(S)`` one bit at a time, and estimates every connected
+  pair again in every round;
 * IKKBZ recomputes a module's rank on every comparison, merges even
   a single chain through the heap, and orders each root in its own
   recursive pass, normalizing every subtree chain again per root;
@@ -14,13 +16,19 @@ speed-ups:
   proxy ranking and interval tables through
   ``QueryGraph.crossing_selectivity``, rebuilds the leaves for each
   ordering, and its separable sweep visits every split ``k``, infinite
-  halves included;
+  halves included, with no bound; it records what each sweep saw, so
+  the tests can count what the bounded sweep must check;
 * IDP-1's driver runs its own bounded DP per iteration, which
-  translates both masks of every csg-cmp-pair and builds a
-  ``JoinTree`` for every orientation it prices.
+  enumerates every csg-cmp-pair of the working graph, translates both
+  masks of each and builds a ``JoinTree`` for every orientation it
+  prices. It follows IDP-1's rules: one table across iterations, keyed
+  by relation set, which drops the entries that meet a committed block;
+  a pair whose union was in the table when the iteration began is not
+  offered; equal-cost blocks go to the lowest relation mask; and the
+  compound node is numbered 0, by the inherited ``_contract``.
 
-They are slower, and they define what the planners returned before
-the speed-ups; keep them unchanged.
+They are slower, and they define what the planners return; keep them
+as they are.
 """
 
 from __future__ import annotations
@@ -276,6 +284,11 @@ class ReferenceLinDP(LinDP):
         counters: CounterSet,
     ) -> None:
         goo = GreedyOperatorOrdering().optimize(graph, cost_model=cost_model).plan
+        # What the separable sweep saw, for the tests' own counts: the
+        # GOO plan, then per ordering its unbounded cost table, the full
+        # interval's cardinality and the plan it rebuilt (or None).
+        self.goo = goo
+        self.sweeps: list[tuple[list[list[float]], float, JoinTree | None]] = []
         orderings = self._linearizations(graph, cost_model, goo, counters)
         counters.extra["lindp_orderings"] = len(orderings)
         separable = (
@@ -464,9 +477,11 @@ class ReferenceLinDP(LinDP):
         counters.extra["lindp_splits"] = (
             counters.extra.get("lindp_splits", 0) + splits_checked
         )
-        if splits[0][n - 1] < 0:
-            return None
-        return self._rebuild(cost_model, order, leaves, splits, counters)
+        plan = None
+        if splits[0][n - 1] >= 0:
+            plan = self._rebuild(cost_model, order, leaves, splits, counters)
+        self.sweeps.append((costs, cards[0][n - 1], plan))
+        return plan
 
     def _interval_dp_priced(
         self,
@@ -528,7 +543,7 @@ class ReferenceIterativeDP(IterativeDP):
 
     Holds its own driver loop as well as its block DP, so it runs none
     of IDP-1's production enumeration; only the graph contraction
-    (``_contract``) is inherited.
+    (``_contract``, which numbers the compound node 0) is inherited.
     """
 
     def _run(
@@ -544,26 +559,37 @@ class ReferenceIterativeDP(IterativeDP):
         node_plans: list[JoinTree] = [
             table[bitset.bit(index)] for index in range(graph.n_relations)
         ]
+        # One table across passes, keyed by original relation set, and
+        # the number of working nodes each entry holds.
+        plans = {plan.relations: plan for plan in node_plans}
+        sizes = dict.fromkeys(plans, 1)
 
         while True:
             n = working_graph.n_relations
             block_size = min(self._k, n)
-            blocks = self._bounded_dp(
-                working_graph, cost_model, node_plans, counters, block_size
+            self._bounded_dp(
+                working_graph, cost_model, node_plans, plans, sizes,
+                counters, block_size,
             )
             if n <= self._k:
-                table.register(blocks[working_graph.all_relations])
+                table.register(plans[graph.all_relations])
                 return
-            best_mask, best_block = min(
-                (
-                    (mask, plan)
-                    for mask, plan in blocks.items()
-                    if bitset.popcount(mask) == block_size
-                ),
-                key=lambda entry: entry[1].cost,
+            best_mask = min(
+                (mask for mask, size in sizes.items() if size == block_size),
+                key=lambda mask: (plans[mask].cost, mask),
             )
+            best_block = plans[best_mask]
+            for mask in [mask for mask in plans if mask & best_mask]:
+                del plans[mask]
+                del sizes[mask]
+            plans[best_mask] = best_block
+            sizes[best_mask] = 1
+            block_nodes = 0
+            for node, plan in enumerate(node_plans):
+                if plan.relations & best_mask:
+                    block_nodes |= bitset.bit(node)
             working_graph, node_plans = self._contract(
-                working_graph, node_plans, best_mask, best_block
+                working_graph, node_plans, block_nodes, best_block
             )
 
     @staticmethod
@@ -571,49 +597,53 @@ class ReferenceIterativeDP(IterativeDP):
         graph: QueryGraph,
         model: CostModel,
         node_plans: list[JoinTree],
+        plans: dict[int, JoinTree],
+        sizes: dict[int, int],
         counters: CounterSet,
         cap: int,
-    ) -> dict[int, JoinTree]:
-        """Best plan per connected working set of at most ``cap`` nodes.
+    ) -> None:
+        """Add the best plan per new connected working set of at most ``cap`` nodes.
 
-        Keys are working-node bitsets; values are original-space trees
+        ``plans`` maps original relation sets to original-space trees
         (the leaves of working nodes are their committed subplans), so
-        pricing happens directly with the caller's cost model.
+        pricing happens directly with the caller's cost model. Every
+        csg-cmp-pair of the working graph is enumerated; a pair whose
+        union was in ``plans`` when the pass began is not offered.
         """
         if graph.is_bfs_numbered():
             numbered, order = graph, list(range(graph.n_relations))
         else:
             numbered, order = graph.bfs_renumbered()
-        bit_map = [bitset.bit(old) for old in order]
-
-        plans: dict[int, JoinTree] = {
-            bitset.bit(index): plan for index, plan in enumerate(node_plans)
-        }
+        bit_map = [node_plans[old].relations for old in order]
+        known = set(plans)
 
         symmetric = model.symmetric
         for left, right in enumerate_csg_cmp_pairs(
             numbered, trust_numbering=True, max_union_size=cap
         ):
+            size = bitset.popcount(left | right)
             left = _translate(left, bit_map)
             right = _translate(right, bit_map)
+            combined = left | right
+            if combined in known:
+                continue
             counters.inner_counter += 1
             counters.ono_lohman_counter += 1
             counters.csg_cmp_pair_counter += 2
             plan_left = plans[left]
             plan_right = plans[right]
-            combined = left | right
             incumbent = plans.get(combined)
             counters.create_join_tree_calls += 1
             candidate = model.join(plan_left, plan_right)
             if incumbent is None or candidate.cost < incumbent.cost:
                 plans[combined] = candidate
+                sizes[combined] = size
                 incumbent = candidate
             if not symmetric:
                 counters.create_join_tree_calls += 1
                 candidate = model.join(plan_right, plan_left)
                 if candidate.cost < incumbent.cost:
                     plans[combined] = candidate
-        return plans
 
 
 def _translate(mask: int, bit_map: list[int]) -> int:

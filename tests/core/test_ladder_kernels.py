@@ -1,12 +1,26 @@
 """Ladder kernels against their references, plus work pins.
 
 GOO, IKKBZ, LinDP's separable interval sweep and IDP-1's bounded DP
-must return exactly what the copies in
-:mod:`tests.core.reference_ladder` return: the same plan (``==``), the
-same ``repr`` of its cost, the same counters and the same table size,
-so the paper's InnerCounter and #ccp cannot move. The instances cover
-the paper's shapes, random graphs, ladder-scale foreign-key queries
-and queries whose estimates overflow to inf, under both cost models.
+must return what the copies in :mod:`tests.core.reference_ladder`
+return: the same plan (``==``), the same ``repr`` of its cost, the same
+table size and probes. The instances cover the paper's shapes, random
+graphs, ladder-scale foreign-key queries and queries whose estimates
+overflow to inf, under both cost models.
+
+Each ladder heuristic's InnerCounter counts the candidates it
+evaluates, so the counters are held to independent counts taken from
+the references:
+
+* IKKBZ and IDP-1 match their references' counters exactly; the IDP-1
+  reference runs the same rules (one table across passes, the compound
+  node numbered 0, equal-cost blocks to the lowest relation mask) over
+  every pair of every pass, and offers only the pairs whose union is
+  new;
+* GOO matches every counter but InnerCounter, which equals the number
+  of distinct tree pairs the reference estimated;
+* LinDP's separable sweep matches the IKKBZ share of InnerCounter,
+  and its split checks and rebuilt joins equal the counts that its
+  bound leaves in the reference's unbounded cost tables.
 
 The IDP-1 reference holds its own driver and block DP; a guard makes
 every reference run fail if it reaches the production pair pass or
@@ -17,15 +31,19 @@ reach :func:`repro.core.ikkbz.ikkbz_orders` or LinDP's production
 methods, and checks that they ordered every root of a tree through
 their own per-root pass.
 
-The work pins count calls, not time: GOO tests its pairs without
-``QueryGraph.are_connected``, IDP-1 under C_out builds join trees only
-for its committed blocks and its final plan, LinDP normalizes each
-directed edge of a tree once, and its proxy ranking and interval
-tables multiply selectivities without ``QueryGraph.crossing_selectivity``.
+The work pins count calls and steps, not time: GOO tests its pairs
+without ``QueryGraph.are_connected`` and estimates each pair of trees
+once, IDP-1 under C_out builds join trees only for its committed
+blocks and its final plan and offers only the pairs through its newest
+block, LinDP normalizes each directed edge of a tree once, its proxy
+ranking and interval tables multiply selectivities without
+``QueryGraph.crossing_selectivity``, and its sweep checks only the
+splits that its incumbent's cost leaves.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -114,6 +132,30 @@ def overflowing_instance(shape: str, n: int):
     return graph, random_catalog(n, rng)
 
 
+def disagreeing_instance(shape: str, n: int):
+    """A cycle whose interval sums and model prices disagree.
+
+    Cardinalities of 1e100 across selectivities down to 1e-300
+    underflow in one multiplication order and not in another: LinDP's
+    sweep prices GOO's own leaf order at 0.5, while GOO's plan costs
+    5e-100 under the model.
+    """
+    around = (1e-100, 1e-300, 0.5, 0.5, 0.5, 1e-100, 1e-300, 1e-100, 1e-300, 1e-200, 1e-100)
+    edges = [JoinEdge(0, 1, around[0]), JoinEdge(0, n - 1, 0.5)] + [
+        JoinEdge(i, i + 1, around[i]) for i in range(1, n - 1)
+    ]
+    return QueryGraph(n, edges), uniform_catalog(n, 1e100)
+
+
+def underflowing_instance(shape: str, n: int):
+    """Overflowed cardinalities across underflowed selectivities: nan.
+
+    Every join overflows to inf, and where two edges cross, their
+    selectivities multiply to 0.0, so the estimate is ``inf * 0.0``.
+    """
+    return _SHAPED[shape](n, selectivity=1e-200), uniform_catalog(n, 1e300)
+
+
 #: (id, builder, args). Light instances span n = 2..40; the ladder-scale
 #: ones are what LinDP and GOO serve in practice.
 LIGHT = [
@@ -142,7 +184,10 @@ TIED = [
 OVERFLOWED = [
     (f"overflow-{shape}-140", overflowing_instance, (shape, 140))
     for shape in ("chain", "star")
-]
+] + [
+    (f"nan-{shape}-{n}", underflowing_instance, (shape, n))
+    for shape, n in (("cycle", 4), ("cycle", 9), ("clique", 6))
+] + [("disagree-cycle-12", disagreeing_instance, ("cycle", 12))]
 
 def instance(case):
     _key, builder, args = case
@@ -170,6 +215,105 @@ def assert_same_result(result, reference) -> None:
     assert result.table_probes == reference.table_probes
 
 
+def plan_fields(plan: JoinTree) -> list[tuple]:
+    """Every node's fields in pre-order, floats by ``repr`` (so nan == nan)."""
+    fields = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        fields.append(
+            (node.relations, repr(node.cardinality), repr(node.cost),
+             node.operator, node.name)
+        )
+        stack.extend(child for child in (node.right, node.left) if child)
+    return fields
+
+
+def assert_same_result_but(result, reference, *counters: str) -> None:
+    """:func:`assert_same_result`, except for the named counters."""
+    assert plan_fields(result.plan) == plan_fields(reference.plan)
+    assert repr(result.cost) == repr(reference.cost)
+    own = result.counters.as_dict()
+    expected = reference.counters.as_dict()
+    for name in counters:
+        own.pop(name)
+        expected.pop(name)
+    assert own == expected
+    assert result.table_size == reference.table_size
+    assert result.table_probes == reference.table_probes
+
+
+def estimated_pairs(monkeypatch, model) -> set[frozenset[int]]:
+    """The distinct pairs of trees ``model``'s estimator is asked to join."""
+    pairs: set[frozenset[int]] = set()
+    estimator = model.estimator
+    join_cardinality = estimator.join_cardinality
+
+    def recorded(left, right):
+        pairs.add(frozenset((left.relations, right.relations)))
+        return join_cardinality(left, right)
+
+    monkeypatch.setattr(estimator, "join_cardinality", recorded)
+    return pairs
+
+
+def bounded_sweep_counts(reference: ref.ReferenceLinDP) -> tuple[int, int]:
+    """LinDP's split checks and rebuilt joins under the sweep's bound.
+
+    Counted from the reference's unbounded cost tables: an interval
+    survives when its cost is finite and not above the limit, which is
+    the incumbent's cost (GOO's until an ordering's plan beats it) plus
+    1e-9 of it, less the full set's cardinality for inner intervals.
+    An incumbent or full-set cardinality that is inf or nan sets no
+    limit. A split counts when both halves survive; an ordering whose
+    full interval survives rebuilds its n - 1 joins. When GOO's leaf
+    order, swept first, keeps no full interval under a finite GOO cost,
+    it is swept again without a limit, and so is every later ordering.
+    """
+
+    def count(costs, full_cardinality, incumbent) -> tuple[int, bool]:
+        """Splits checked under ``incumbent``, and whether the root survives."""
+        n = len(costs)
+        limit = incumbent * (1 + 1e-9)
+        if limit < math.inf and full_cardinality < math.inf:
+            inner = limit - full_cardinality
+        else:
+            limit = inner = math.inf
+
+        def survives(i: int, j: int) -> bool:
+            return math.isfinite(costs[i][j]) and not costs[i][j] > inner
+
+        checked = 0
+        for span in range(2, n + 1):
+            for i in range(n - span + 1):
+                j = i + span - 1
+                checked += sum(
+                    survives(i, k) and survives(k + 1, j) for k in range(i, j)
+                )
+        return checked, not costs[0][n - 1] > limit
+
+    splits = joins = 0
+    best = None
+    bounded = True
+    for index, (costs, full_cardinality, plan) in enumerate(reference.sweeps):
+        incumbent = reference.goo.cost if best is None else best.cost
+        checked, kept = count(
+            costs, full_cardinality, incumbent if bounded else math.inf
+        )
+        splits += checked
+        kept = kept and plan is not None
+        if not kept and bounded and incumbent < math.inf and index == 0:
+            bounded = False
+            checked, kept = count(costs, full_cardinality, math.inf)
+            splits += checked
+            kept = kept and plan is not None
+        if kept:
+            joins += len(costs) - 1
+            if best is None or plan.cost < best.cost:
+                best = plan
+    return splits, joins
+
+
 def production(*args, **kwargs):
     raise AssertionError("a ladder reference reached production code")
 
@@ -192,7 +336,8 @@ def reference_lindp(monkeypatch, graph, model):
 
     The production IKKBZ pass and every LinDP method the reference
     holds a copy of raise while it runs; on a tree it must have ordered
-    every root through its own per-root pass.
+    every root through its own per-root pass. Returns the result and
+    the optimizer, which recorded its sweeps.
     """
     with monkeypatch.context() as patch:
         patch.setattr(ref, "GreedyOperatorOrdering", ref.ReferenceGOO)
@@ -208,9 +353,10 @@ def reference_lindp(monkeypatch, graph, model):
         ):
             patch.setattr(LinDP, name, production)
         roots = counted_roots(patch)
-        reference = ref.ReferenceLinDP().optimize(graph, cost_model=model)
+        optimizer = ref.ReferenceLinDP()
+        reference = optimizer.optimize(graph, cost_model=model)
     assert roots[0] == (graph.n_relations if is_tree(graph) else 0)
-    return reference
+    return reference, optimizer
 
 
 def reference_ikkbz(monkeypatch, graph, model):
@@ -226,14 +372,19 @@ def reference_ikkbz(monkeypatch, graph, model):
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("case", params(LIGHT, TIED, LADDER, OVERFLOWED))
-def test_goo_matches_reference(case, model):
+def test_goo_matches_reference(monkeypatch, case, model):
     graph, catalog = instance(case)
     build = MODELS[model]
     result = GreedyOperatorOrdering().optimize(
         graph, cost_model=build(graph, catalog)
     )
-    reference = ref.ReferenceGOO().optimize(graph, cost_model=build(graph, catalog))
-    assert_same_result(result, reference)
+    reference_model = build(graph, catalog)
+    pairs = estimated_pairs(monkeypatch, reference_model)
+    reference = ref.ReferenceGOO().optimize(graph, cost_model=reference_model)
+    assert_same_result_but(result, reference, "inner_counter")
+    # The reference re-estimates every connected pair in every round;
+    # GOO estimates each pair of trees once.
+    assert result.counters.inner_counter == len(pairs)
 
 
 def is_tree_shape(shape: str, n: int) -> bool:
@@ -293,8 +444,28 @@ def test_lindp_matches_reference(monkeypatch, model, case):
     graph, catalog = instance(case)
     build = MODELS[model]
     result = LinDP().optimize(graph, cost_model=build(graph, catalog))
-    reference = reference_lindp(monkeypatch, graph, build(graph, catalog))
-    assert_same_result(result, reference)
+    reference, optimizer = reference_lindp(
+        monkeypatch, graph, build(graph, catalog)
+    )
+    if model == "disk":
+        # The priced path has no bound.
+        assert_same_result(result, reference)
+        return
+    # The separable sweep skips what its bound drops: split checks and
+    # the rebuilds of orderings whose full interval is dropped.
+    assert_same_result_but(
+        result, reference, "inner_counter", "lindp_splits",
+        "create_join_tree_calls",
+    )
+    splits, joins = bounded_sweep_counts(optimizer)
+    extra, expected = result.counters.extra, reference.counters.extra
+    assert extra["lindp_splits"] == splits
+    assert result.counters.create_join_tree_calls == joins
+    # The IKKBZ share of InnerCounter is unchanged.
+    assert (
+        result.counters.inner_counter - extra["lindp_splits"]
+        == reference.counters.inner_counter - expected["lindp_splits"]
+    )
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -356,19 +527,37 @@ class TestWorkPins:
         calls = count_calls(monkeypatch, QueryGraph, "are_connected")
         result = GreedyOperatorOrdering().optimize(graph, catalog=catalog)
         assert calls[0] == 0
-        # Every pair of every round is still tested and counted.
-        assert result.counters.inner_counter == 4495
+        # Each pair of adjacent trees is estimated once: the 29 edges,
+        # then the hub's tree against the 28, 27, ... leaves left. A
+        # scan of every pair in every round tested 4,495.
+        assert result.counters.inner_counter == 435
 
     def test_idp_builds_trees_only_for_winners(self, monkeypatch):
         graph = chain_graph(16, rng=random.Random(4))
         catalog = random_catalog(16, random.Random(4))
         calls = count_calls(monkeypatch, JoinTree, "join")
         result = IterativeDP(4).optimize(graph, catalog=catalog)
-        assert result.counters.create_join_tree_calls == 230
+        # What the IDP-1 reference prices over the same rules.
+        assert result.counters.create_join_tree_calls == 121
         # Four committed blocks of 3 joins and a final plan of 3, i.e.
         # n - 1. The old loop built a tree for each of 171 winning
         # pricings.
         assert calls[0] == 15
+
+    def test_idp_offers_only_pairs_through_the_new_block(self):
+        graph, catalog = fk_instance("chain", 200)
+        result = IterativeDP(7).optimize(graph, catalog=catalog)
+        # The first pass offers the chain's 4,109 pairs of at most 7
+        # relations; each of the 33 later passes only those through its
+        # compound node. Re-running every pass offered 69,070.
+        assert result.counters.inner_counter == 6570
+
+    def test_lindp_sweep_stops_at_the_incumbent(self):
+        graph, catalog = fk_instance("chain", 57)
+        result = LinDP().optimize(graph, catalog=catalog)
+        # Five orderings; sweeping every split of every finite interval
+        # checked 87,196.
+        assert result.counters.extra["lindp_splits"] == 1012
 
     def test_lindp_normalizes_each_directed_edge_once(self, monkeypatch):
         graph, catalog = light_instance("tree", 40)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import bitset
 from repro.errors import GraphError, UnknownRelationError
+from repro.graph.generators import chain_graph
 from repro.graph.querygraph import JoinEdge, QueryGraph, remap_mask
 
 
@@ -192,6 +193,22 @@ class TestConnectedness:
     def test_single_relation_graph_connected(self):
         assert QueryGraph(1).is_connected
 
+    def test_connectivity_reads_each_node_once(self, monkeypatch):
+        graph = chain_graph(215)
+        read = [0]
+        neighborhood = QueryGraph.neighborhood
+
+        def counted(self, mask):
+            read[0] += mask.bit_count()
+            return neighborhood(self, mask)
+
+        monkeypatch.setattr(QueryGraph, "neighborhood", counted)
+        assert graph.is_connected
+        # Each round grows from its frontier alone. Growing from every
+        # node reached so far read 1 + 2 + ... + 215 = 23,220 nodes.
+        assert read[0] == 215
+        assert not QueryGraph(3, [(0, 1)]).is_connected_set(0b111)
+
 
 class TestCrossingEdges:
     def test_crossing_edges_found_once(self):
@@ -230,6 +247,8 @@ class TestBfs:
 
     def test_disconnected_graph_not_bfs_numbered(self):
         assert not QueryGraph(3, [(0, 1)]).is_bfs_numbered()
+        assert not QueryGraph(3, [(0, 2)]).is_bfs_numbered()
+        assert not QueryGraph(3).is_bfs_numbered()
 
     def test_bfs_renumbered_is_bfs_numbered(self):
         star_off_center = QueryGraph(4, [(2, 0), (2, 1), (2, 3)])

@@ -26,6 +26,7 @@ from repro.graph.querygraph import QueryGraph
 from repro.graph.subgraphs import (
     enumerate_cmp,
     enumerate_csg,
+    enumerate_csg_cmp_lists,
     enumerate_csg_cmp_pairs,
 )
 
@@ -252,6 +253,28 @@ class TestBoundedEnumeration:
             ]
             capped = list(enumerate_csg_cmp_pairs(graph, max_union_size=cap))
             assert capped == full
+
+    @pytest.mark.parametrize("cap", [None, 2, 3, 5])
+    def test_first_node_slice_equals_filtered_full_stream(self, cap, rng):
+        """The slice is the pairs whose union holds node 0, in order."""
+        for _ in range(8):
+            graph = bfs(
+                random_connected_graph(rng.randint(2, 8), rng, rng.random())
+            )
+            full = [
+                (left, rights)
+                for left, rights in enumerate_csg_cmp_lists(
+                    graph, max_union_size=cap
+                )
+                if left & 1
+            ]
+            sliced = list(
+                enumerate_csg_cmp_lists(
+                    graph, max_union_size=cap, first_node_only=True
+                )
+            )
+            assert sliced == full
+            assert all(not right & 1 for _left, rights in sliced for right in rights)
 
     def test_cap_zero_yields_nothing(self):
         graph = chain_graph(4)

@@ -141,9 +141,12 @@ class TestServiceSpansMatchMetrics:
 
     def test_degraded_requests_are_spanned_too(self):
         obs = Instrumentation(span_capacity=1024)
+        # A zero budget still takes a plan the worker thread already
+        # finished. DPsub on a clique-9 (~6 ms) could finish within one
+        # 5 ms GIL switch interval; a clique-12 takes ~30 times longer.
         rng = random.Random(9)
-        graph = graph_for_topology("clique", 9, rng=rng)
-        catalog = random_catalog(9, rng)
+        graph = graph_for_topology("clique", 12, rng=rng)
+        catalog = random_catalog(12, rng)
         with PlanService(
             algorithm="dpsub", workers=1, instrumentation=obs
         ) as service:

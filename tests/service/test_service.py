@@ -140,6 +140,21 @@ class TestConfigAndLifecycle:
         with pytest.raises(ServiceError):
             service.plan(graph, catalog, algorithm="nope")
 
+    def test_refused_algorithm_is_not_counted_as_a_request(self, service):
+        graph, catalog = make_instance(n=4)
+        service.plan(graph, catalog)
+        with pytest.raises(ServiceError):
+            service.plan(graph, catalog, algorithm="nope")
+        bad = PlanRequest(graph, catalog, algorithm="nope")
+        (answer,) = service.plan_batch([bad])
+        assert answer.degraded
+        counters = service.snapshot()["counters"]
+        # One request reached the cache; the two refusals did not.
+        assert counters["requests"] == 1
+        assert counters["cache_misses"] == 1
+        assert counters.get("cache_hits", 0) == 0
+        assert counters.get("coalesced", 0) == 0
+
     def test_closed_service_refuses_requests(self):
         service = PlanService(workers=1)
         service.close()

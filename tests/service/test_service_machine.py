@@ -1,7 +1,8 @@
 """A state machine over :class:`PlanService` (hypothesis).
 
 The machine interleaves synchronous planning, zero-deadline planning,
-asynchronous submission, batches and cache clears on one
+asynchronous submission, batches, requests for an unknown algorithm
+and cache clears on one
 ``PlanService(workers=2, k_best=2, cache_capacity=2)``. It draws from
 four small queries, each also sent as a renumbered twin. With two cache
 slots a third distinct query pushes an entry into the stale tier, so
@@ -25,10 +26,12 @@ from __future__ import annotations
 import random
 import threading
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.catalog.synthetic import random_catalog
+from repro.errors import ServiceError
 from repro.graph.generators import graph_for_topology
 from repro.plans.visitors import validate_plan
 from repro.service import PlanRequest, PlanService
@@ -97,6 +100,18 @@ class PlanServiceMachine(RuleBasedStateMachine):
         responses = self.service.plan_batch(requests)
         assert len(responses) == len(requests)
         self.answered.extend(zip(requests, responses))
+
+    @rule(query=QUERY, batched=st.booleans())
+    def unknown_algorithm(self, query: int, batched: bool) -> None:
+        request = PlanRequest(*QUERIES[query], algorithm="nope")
+        if batched:
+            # The batch answers the refused request from the ladder.
+            (response,) = self.service.plan_batch([request])
+            assert response.degraded and response.error
+            self.answered.append((request, response))
+            return
+        with pytest.raises(ServiceError):
+            self.service.plan_request(request)
 
     @rule()
     def clear(self) -> None:
